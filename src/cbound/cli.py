@@ -23,7 +23,7 @@ from .classify import (
     table1_report,
 )
 from .diagrams import Diagram, DiagramError, from_braid, linking_matrix
-from .embed import EmbedError, auto_geometry, oval_link_lk, oval_link_pd, render_svg
+from .embed import EmbedError, linking_by_id, oval_link_pd, render_svg
 from .homfly import BudgetExceeded, homfly, homfly_braid
 from .notation import ParseError, parse_braid, parse_ovals, parse_pd, render_braid, render_pd, render_poly
 from .splice import (
@@ -204,8 +204,9 @@ def cmd_ovals(args) -> int:
         _emit_matrix(args, mat, labels)
         return 0
     # embed
-    diag, ids = oval_link_pd(forest, args.orientation, args.seed, args.samples_scale)
-    labels, mat = oval_link_lk(forest, args.orientation, args.seed, args.samples_scale)
+    proj = oval_link_pd(forest, args.orientation, args.seed, args.samples_scale)
+    diag, ids = proj
+    labels, mat = linking_by_id(diag, ids)
     p = homfly(diag, args.skein_budget)
     if args.machine:
         print("pd=%s" % render_pd(diag))
@@ -221,7 +222,7 @@ def cmd_ovals(args) -> int:
         print("ord_v = %d" % p.ord_v)
     if args.svg:
         with open(args.svg, "w") as fh:
-            fh.write(render_svg(forest, args.orientation, args.seed, args.samples_scale))
+            fh.write(render_svg(proj))
         print("svg written to %s" % args.svg, file=sys.stderr)
     return 0
 

@@ -12,6 +12,21 @@ to a sample point, matched depths, near-parallel hits, pole on the link)
 are rejected and retried with a fresh chart deterministically derived
 from the seed.
 
+The crossing scan has two stages.  Each polygon's segments are cut into
+chunks of _CHUNK consecutive segments, and each chunk gets its bounding
+box padded by _PAD on every side.  Only segment pairs from chunks whose
+padded boxes overlap reach the exact test, which is unchanged: the same
+formulas, tolerances and guards, visited in the same (i, j) order, so
+the crossings and the first rejection are exactly those of a test over
+every pair.  Nothing is lost at the broadphase.  A hit lies on both
+segments (up to a 1e-7 fraction of their length), so both boxes hold it.
+The near-parallel guard fires on segments whose start points are within
+2e-2 of each other on each axis; each box holds its segment's start
+point, and two boxes that close overlap once each is padded by more than
+1e-2 (2 * _PAD = 0.03 in total).  For a curve against itself only chunk
+pairs ci <= cj are kept: hits with i > j are skipped anyway and the
+guard is symmetric in i and j.
+
 Two orientation conventions are supported.  "ccw" traverses every oval
 counterclockwise in the z-plane, matching the winding bookkeeping of the
 splice tree.  "induced" reverses traversal on odd-depth ovals, which is
@@ -24,7 +39,7 @@ import math
 
 import numpy as np
 
-from .diagrams import Diagram
+from .diagrams import Diagram, linking_matrix
 from .splice import Oval, OvalForest, OvalError
 
 
@@ -37,6 +52,12 @@ class _RetryProjection(Exception):
 
 
 _GOLDEN = 2.399963229728653  # angular spread for the w-phases
+
+# Broadphase of the crossing scan; see the module docstring.
+_CHUNK = 8  # consecutive segments per box
+_PAD = 0.015  # added on every side of a box
+_BATCH = 2048  # chunk pairs per exact-test batch, at most 2048 * 64 cells
+_CELL_I, _CELL_J = np.divmod(np.arange(_CHUNK * _CHUNK), _CHUNK)
 
 
 def auto_geometry(forest: OvalForest) -> OvalForest:
@@ -120,6 +141,8 @@ def parametrize(forest: OvalForest, orientation: str = "ccw",
     """
     if orientation not in ("ccw", "induced"):
         raise ValueError("orientation must be 'ccw' or 'induced'")
+    if samples_scale < 1:
+        raise EmbedError("samples scale must be an integer >= 1, got %s" % samples_scale)
     check_geometry(forest)
     out = []
     for ident in forest.ids():
@@ -164,11 +187,24 @@ def _project(curves: list[tuple[int, np.ndarray]], pole: np.ndarray,
     return out
 
 
+def _chunk_boxes(p0: np.ndarray, p1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Padded bounding boxes (lo, hi) of the segments p0[k] -> p1[k], taken
+    in runs of _CHUNK consecutive segments."""
+    starts = np.arange(0, len(p0), _CHUNK)
+    lo = np.minimum.reduceat(np.minimum(p0, p1), starts) - _PAD
+    hi = np.maximum.reduceat(np.maximum(p0, p1), starts) + _PAD
+    return lo, hi
+
+
 def _segment_crossings(pa: np.ndarray, pb: np.ndarray, same: bool):
     """All transverse crossings between closed polygons pa, pb in the
-    plane (first two columns); third column is depth.  Yields tuples
-    (i, s, j, t, depth_a, depth_b, da, db) with da/db the plane tangents.
-    Raises _RetryProjection on any borderline hit."""
+    plane (first two columns); third column is depth.  Returns tuples
+    (i, s, j, t, depth_a, depth_b, da, db) in (i, j) order, with da/db the
+    plane tangents.  Raises _RetryProjection on any borderline hit: the
+    first one in (i, j) order, else on near-parallel close segments.
+
+    Only segment pairs whose chunks' padded boxes overlap are tested; see
+    the module docstring for why no hit and no guard is lost."""
     a0 = pa[:, :2]
     a1 = np.roll(pa[:, :2], -1, axis=0)
     b0 = pb[:, :2]
@@ -176,39 +212,53 @@ def _segment_crossings(pa: np.ndarray, pb: np.ndarray, same: bool):
     da = a1 - a0
     db = b1 - b0
     na, nb = len(a0), len(b0)
-    det = da[:, None, 0] * db[None, :, 1] - da[:, None, 1] * db[None, :, 0]
-    diff0 = b0[None, :, 0] - a0[:, None, 0]
-    diff1 = b0[None, :, 1] - a0[:, None, 1]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        s = (diff0 * db[None, :, 1] - diff1 * db[None, :, 0]) / det
-        t = (diff0 * da[:, None, 1] - diff1 * da[:, None, 0]) / det
-    ok = np.abs(det) > 1e-12
-    hit = ok & (s > -1e-7) & (s < 1 + 1e-7) & (t > -1e-7) & (t < 1 + 1e-7)
+    lo_a, hi_a = _chunk_boxes(a0, a1)
+    lo_b, hi_b = _chunk_boxes(b0, b1)
+    near = np.all((lo_a[:, None] <= hi_b[None, :]) & (lo_b[None, :] <= hi_a[:, None]), axis=2)
     if same:
-        ii, jj = np.meshgrid(np.arange(na), np.arange(nb), indexing="ij")
-        gap = (jj - ii) % na
-        hit &= (gap != 0) & (gap != 1) & (gap != na - 1)
-    pairs = np.argwhere(hit)
+        # hits with i > j are skipped and the close guard is symmetric
+        near = np.triu(near)
+    chunk_pairs = np.argwhere(near) * _CHUNK
+    hits = []
+    near_parallel = False
+    for k in range(0, len(chunk_pairs), _BATCH):
+        batch = chunk_pairs[k:k + _BATCH]
+        i = (batch[:, :1] + _CELL_I).ravel()
+        j = (batch[:, 1:] + _CELL_J).ravel()
+        inside = (i < na) & (j < nb)
+        i, j = i[inside], j[inside]
+        dai, dbj = da[i], db[j]
+        det = dai[:, 0] * dbj[:, 1] - dai[:, 1] * dbj[:, 0]
+        diff0 = b0[j, 0] - a0[i, 0]
+        diff1 = b0[j, 1] - a0[i, 1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            s = (diff0 * dbj[:, 1] - diff1 * dbj[:, 0]) / det
+            t = (diff0 * dai[:, 1] - diff1 * dai[:, 0]) / det
+        ok = np.abs(det) > 1e-12
+        hit = ok & (s > -1e-7) & (s < 1 + 1e-7) & (t > -1e-7) & (t < 1 + 1e-7)
+        # near-parallel overlapping segments that produced no solvable hit
+        close = ~ok & (np.abs(diff0) < 2e-2) & (np.abs(diff1) < 2e-2)
+        if same:
+            gap = (j - i) % na
+            hit &= (gap != 0) & (gap != 1) & (gap != na - 1) & (i <= j)
+            close &= (np.abs(i - j) > 1) & (np.abs(i - j) < na - 1)
+        hits.append((i[hit], s[hit], j[hit], t[hit]))
+        near_parallel = near_parallel or bool(np.any(close))
     eps = 1e-6
     results = []
-    for i, j in pairs:
-        if same and i > j:
-            continue
-        si, tj = s[i, j], t[i, j]
-        if si < eps or si > 1 - eps or tj < eps or tj > 1 - eps:
-            raise _RetryProjection("crossing too close to a sample point")
-        depth_a = pa[i, 2] + si * (pa[(i + 1) % na, 2] - pa[i, 2])
-        depth_b = pb[j, 2] + tj * (pb[(j + 1) % nb, 2] - pb[j, 2])
-        if abs(depth_a - depth_b) < 1e-8:
-            raise _RetryProjection("matched depths at a crossing")
-        results.append((int(i), float(si), int(j), float(tj),
-                        float(depth_a), float(depth_b), da[i], db[j]))
-    # near-parallel overlapping segments that produced no solvable hit
-    close = ~ok & (np.abs(diff0) < 2e-2) & (np.abs(diff1) < 2e-2)
-    if same:
-        close &= (np.abs(np.arange(na)[:, None] - np.arange(nb)[None, :]) > 1) \
-            & (np.abs(np.arange(na)[:, None] - np.arange(nb)[None, :]) < na - 1)
-    if np.any(close):
+    if hits:
+        hit_i, hit_s, hit_j, hit_t = (np.concatenate(col) for col in zip(*hits))
+        for n in np.lexsort((hit_j, hit_i)):
+            i, si, j, tj = hit_i[n], hit_s[n], hit_j[n], hit_t[n]
+            if si < eps or si > 1 - eps or tj < eps or tj > 1 - eps:
+                raise _RetryProjection("crossing too close to a sample point")
+            depth_a = pa[i, 2] + si * (pa[(i + 1) % na, 2] - pa[i, 2])
+            depth_b = pb[j, 2] + tj * (pb[(j + 1) % nb, 2] - pb[j, 2])
+            if abs(depth_a - depth_b) < 1e-8:
+                raise _RetryProjection("matched depths at a crossing")
+            results.append((int(i), float(si), int(j), float(tj),
+                            float(depth_a), float(depth_b), da[i], db[j]))
+    if near_parallel:
         raise _RetryProjection("near-parallel segments")
     return results
 
@@ -267,55 +317,65 @@ def diagram_of_projection(proj: list[tuple[int, np.ndarray]]) -> tuple[Diagram, 
     return diag, comp_ids + free
 
 
+class Projection(tuple):
+    """The pair (diagram, component ids) read off the first generic chart.
+
+    It unpacks like that pair and also carries the projected polygons
+    (``curves``: (oval id, rows x, y, depth) in id order), the number of
+    charts tried (``attempts``) and the reason each rejected chart gave
+    (``retries``)."""
+
+    def __new__(cls, diagram: Diagram, ids: list[int], curves: list[tuple[int, np.ndarray]],
+                retries: list[str]):
+        self = super().__new__(cls, (diagram, ids))
+        self.curves = curves
+        self.retries = retries
+        self.attempts = len(retries) + 1
+        return self
+
+
 def oval_link_pd(forest: OvalForest, orientation: str = "ccw", seed: int = 0,
-                 samples_scale: int = 1, attempts: int = 64) -> tuple[Diagram, list[int]]:
+                 samples_scale: int = 1, attempts: int = 64) -> Projection:
     """Diagram of the realized forest, retrying charts until the
     projection is generic."""
     forest = auto_geometry(forest)
     curves = parametrize(forest, orientation, samples_scale)
-    last = None
+    retries = []
     for attempt in range(attempts):
         pole, frame = _chart(seed, attempt)
         try:
             proj = _project(curves, pole, frame)
-            return diagram_of_projection(proj)
+            diag, ids = diagram_of_projection(proj)
         except _RetryProjection as exc:
-            last = exc
-    raise EmbedError("no generic projection found after %d charts: %s" % (attempts, last))
+            retries.append(str(exc))
+            continue
+        return Projection(diag, ids, proj, retries)
+    raise EmbedError("no generic projection found after %d charts: %s"
+                     % (attempts, retries[-1] if retries else None))
 
 
-def oval_link_lk(forest: OvalForest, orientation: str = "ccw", seed: int = 0,
-                 samples_scale: int = 1) -> tuple[list[int], list[list[int]]]:
-    """Linking matrix of the realized forest, rows in oval id order."""
-    from .diagrams import linking_matrix
-    diag, ids = oval_link_pd(forest, orientation, seed, samples_scale)
+def linking_by_id(diag: Diagram, ids: list[int]) -> tuple[list[int], list[list[int]]]:
+    """Linking matrix of a diagram whose components are the ovals ``ids``,
+    rows in oval id order."""
     raw = linking_matrix(diag)
     order = sorted(range(len(ids)), key=lambda k: ids[k])
     return ([ids[k] for k in order],
             [[raw[a][b] for b in order] for a in order])
 
 
+def oval_link_lk(forest: OvalForest, orientation: str = "ccw", seed: int = 0,
+                 samples_scale: int = 1) -> tuple[list[int], list[list[int]]]:
+    """Linking matrix of the realized forest, rows in oval id order."""
+    return linking_by_id(*oval_link_pd(forest, orientation, seed, samples_scale))
+
+
 _PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b",
             "#17becf", "#7f7f7f"]
 
 
-def render_svg(forest: OvalForest, orientation: str = "ccw", seed: int = 0,
-               samples_scale: int = 1, size: int = 480) -> str:
-    """Plain SVG of the projected diagram; under-strands get a small gap."""
-    forest = auto_geometry(forest)
-    curves = parametrize(forest, orientation, samples_scale)
-    proj = None
-    for attempt in range(64):
-        pole, frame = _chart(seed, attempt)
-        try:
-            pr = _project(curves, pole, frame)
-            diagram_of_projection(pr)  # only to validate genericity
-            proj = pr
-            break
-        except _RetryProjection:
-            continue
-    if proj is None:
-        raise EmbedError("no generic projection found")
+def render_svg(projection: Projection, size: int = 480) -> str:
+    """Plain SVG of a projected diagram; under-strands get a small gap."""
+    proj = projection.curves
     allpts = np.vstack([p[:, :2] for _, p in proj])
     lo = allpts.min(axis=0)
     hi = allpts.max(axis=0)

@@ -84,6 +84,15 @@ def test_ovals_embed_svg(capsys, fixtures_dir, tmp_path):
     assert target.read_text().startswith("<svg")
 
 
+@pytest.mark.parametrize("scale", ["0", "-1"])
+def test_ovals_embed_rejects_samples_scale_below_one(capsys, fixtures_dir, scale):
+    code, out, err = run(capsys, "ovals", "embed", str(fixtures_dir / "hopf.ovals"),
+                         "--samples-scale", scale)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: samples scale must be an integer >= 1")
+
+
 def test_table1_clean(capsys, fixtures_dir):
     code, out, _ = run(capsys, "table1", str(fixtures_dir / "table1.kb"))
     assert code == 0

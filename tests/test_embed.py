@@ -3,11 +3,17 @@ back as diagrams."""
 
 import random
 
+import numpy as np
 import pytest
 
+from cbound import embed
 from cbound.diagrams import linking_matrix
 from cbound.embed import (
     EmbedError,
+    _chart,
+    _project,
+    _RetryProjection,
+    _segment_crossings,
     auto_geometry,
     check_geometry,
     oval_link_lk,
@@ -16,8 +22,8 @@ from cbound.embed import (
     render_svg,
 )
 from cbound.homfly import homfly
-from cbound.notation import parse_ovals
-from cbound.splice import Oval, OvalError, OvalForest
+from cbound.notation import parse_ovals, render_pd
+from cbound.splice import Oval, OvalError, OvalForest, random_realizable_forest
 
 HOPF_TEXT = "1 0 1 0 0 0.6\n2 1 1 0 0 0\n"
 
@@ -60,6 +66,12 @@ def test_check_geometry_rejects_child_outside_parent():
         check_geometry(f)
 
 
+@pytest.mark.parametrize("scale", [0, -1])
+def test_parametrize_rejects_scale_below_one(scale):
+    with pytest.raises(EmbedError, match="samples scale"):
+        parametrize(parse_ovals(HOPF_TEXT), samples_scale=scale)
+
+
 def test_parametrize_sample_counts_scale():
     f = parse_ovals(HOPF_TEXT)
     base = parametrize(f)
@@ -95,7 +107,7 @@ def test_wermer_embedding_homfly_matches_diagram(fixtures_dir):
 
 
 def test_svg_render_smoke():
-    svg = render_svg(parse_ovals(HOPF_TEXT))
+    svg = render_svg(oval_link_pd(parse_ovals(HOPF_TEXT)))
     assert svg.startswith("<svg") and svg.rstrip().endswith("</svg>")
     assert "<polygon" in svg and "<title>1</title>" in svg
 
@@ -114,3 +126,173 @@ def test_random_forest_embeds_cleanly(seed):
     ids, m = oval_link_lk(f, seed=seed)
     assert ids == f.ids()
     assert all(m[i][j] == m[j][i] for i in range(len(m)) for j in range(len(m)))
+
+
+def test_projection_keeps_every_retry_reason():
+    # criterion 7's forest 167 is rejected on five charts before the sixth
+    rng = random.Random(7)
+    forests = [random_realizable_forest(rng, max_ovals=6) for _ in range(168)]
+    proj = oval_link_pd(forests[167], seed=167)
+    assert proj.attempts == 6
+    assert proj.retries == ["near-parallel segments"] * 5
+    _, ids = proj
+    assert sorted(ids) == forests[167].ids()
+    assert [ident for ident, _ in proj.curves] == forests[167].ids()
+    with pytest.raises(EmbedError, match="after 5 charts: near-parallel segments"):
+        oval_link_pd(forests[167], seed=167, attempts=5)
+
+
+# -- the crossing scan against the dense reference ----------------------------
+
+
+def dense_segment_crossings(pa: np.ndarray, pb: np.ndarray, same: bool):
+    """Reference crossing scan: the exact test on every one of the na x nb
+    segment pairs, as the program did before the broadphase."""
+    a0 = pa[:, :2]
+    a1 = np.roll(pa[:, :2], -1, axis=0)
+    b0 = pb[:, :2]
+    b1 = np.roll(pb[:, :2], -1, axis=0)
+    da = a1 - a0
+    db = b1 - b0
+    na, nb = len(a0), len(b0)
+    det = da[:, None, 0] * db[None, :, 1] - da[:, None, 1] * db[None, :, 0]
+    diff0 = b0[None, :, 0] - a0[:, None, 0]
+    diff1 = b0[None, :, 1] - a0[:, None, 1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = (diff0 * db[None, :, 1] - diff1 * db[None, :, 0]) / det
+        t = (diff0 * da[:, None, 1] - diff1 * da[:, None, 0]) / det
+    ok = np.abs(det) > 1e-12
+    hit = ok & (s > -1e-7) & (s < 1 + 1e-7) & (t > -1e-7) & (t < 1 + 1e-7)
+    if same:
+        ii, jj = np.meshgrid(np.arange(na), np.arange(nb), indexing="ij")
+        gap = (jj - ii) % na
+        hit &= (gap != 0) & (gap != 1) & (gap != na - 1)
+    pairs = np.argwhere(hit)
+    eps = 1e-6
+    results = []
+    for i, j in pairs:
+        if same and i > j:
+            continue
+        si, tj = s[i, j], t[i, j]
+        if si < eps or si > 1 - eps or tj < eps or tj > 1 - eps:
+            raise _RetryProjection("crossing too close to a sample point")
+        depth_a = pa[i, 2] + si * (pa[(i + 1) % na, 2] - pa[i, 2])
+        depth_b = pb[j, 2] + tj * (pb[(j + 1) % nb, 2] - pb[j, 2])
+        if abs(depth_a - depth_b) < 1e-8:
+            raise _RetryProjection("matched depths at a crossing")
+        results.append((int(i), float(si), int(j), float(tj),
+                        float(depth_a), float(depth_b), da[i], db[j]))
+    close = ~ok & (np.abs(diff0) < 2e-2) & (np.abs(diff1) < 2e-2)
+    if same:
+        close &= (np.abs(np.arange(na)[:, None] - np.arange(nb)[None, :]) > 1) \
+            & (np.abs(np.arange(na)[:, None] - np.arange(nb)[None, :]) < na - 1)
+    if np.any(close):
+        raise _RetryProjection("near-parallel segments")
+    return results
+
+
+def _outcome(scan, pa, pb, same):
+    """Crossing tuples with the tangents as plain floats, or the retry."""
+    try:
+        return [row[:6] + (tuple(row[6]), tuple(row[7])) for row in scan(pa, pb, same)]
+    except _RetryProjection as exc:
+        return "retry: %s" % exc
+
+
+def _compare_scans(forest, orientation, scale, seed, charts) -> list:
+    """Outcome of every curve pair on each chart; asserts both scans agree."""
+    curves = parametrize(auto_geometry(forest), orientation, scale)
+    outcomes = []
+    for attempt in range(charts):
+        try:
+            proj = _project(curves, *_chart(seed, attempt))
+        except _RetryProjection:
+            continue
+        for x in range(len(proj)):
+            for y in range(x, len(proj)):
+                pa, pb = proj[x][1], proj[y][1]
+                want = _outcome(dense_segment_crossings, pa, pb, x == y)
+                got = _outcome(_segment_crossings, pa, pb, x == y)
+                assert got == want, (forest.ids(), orientation, scale, seed, attempt, x, y)
+                outcomes.append(got)
+    return outcomes
+
+
+def _criterion7_forests(count):
+    rng = random.Random(7)
+    return [random_realizable_forest(rng, max_ovals=6) for _ in range(count)]
+
+
+@pytest.mark.parametrize("scale,picks,charts", [
+    # forests 163-195 include charts rejected for near-parallel segments
+    (1, list(range(6)) + [163, 167, 195], 3),
+    (2, [0, 1], 2),
+    (4, [5], 1),
+])
+def test_broadphase_scan_matches_dense_reference(scale, picks, charts):
+    forests = _criterion7_forests(max(picks) + 1)
+    outcomes = []
+    for k in picks:
+        for orientation in ("ccw", "induced"):
+            outcomes += _compare_scans(forests[k], orientation, scale, k, charts)
+    assert any(isinstance(o, list) and o for o in outcomes)
+    if scale == 1:
+        assert "retry: near-parallel segments" in outcomes
+
+
+def test_broadphase_scan_matches_dense_reference_on_fixtures(fixtures_dir):
+    for name in ("hopf", "wermer", "wermer_conj"):
+        f = parse_ovals((fixtures_dir / ("%s.ovals" % name)).read_text())
+        for orientation in ("ccw", "induced"):
+            _compare_scans(f, orientation, 2, 0, 3)
+
+
+def _rectangle(x0, x1, y0, y1, per_side, depth):
+    """Closed polygon around a rectangle, starting at (x0, y1) along the top
+    edge, per_side segments to a side; constant depth."""
+    k = np.arange(per_side) / per_side
+    top = np.column_stack([x0 + (x1 - x0) * k, np.full(per_side, y1)])
+    right = np.column_stack([np.full(per_side, x1), y1 + (y0 - y1) * k])
+    bottom = np.column_stack([x1 + (x0 - x1) * k, np.full(per_side, y0)])
+    left = np.column_stack([np.full(per_side, x0), y0 + (y1 - y0) * k])
+    pts = np.vstack([top, right, bottom, left])
+    return np.column_stack([pts, np.full(len(pts), depth)])
+
+
+def test_near_parallel_guard_survives_broadphase(monkeypatch):
+    # two parallel edges 0.019 apart: no hit, only the 2e-2 guard sees them
+    pa = _rectangle(0.0, 1.0, -1.0, 0.0, 32, 0.0)
+    pb = _rectangle(0.0, 1.0, 0.019, 1.0, 32, 1.0)
+    for scan in (dense_segment_crossings, _segment_crossings):
+        with pytest.raises(_RetryProjection, match="near-parallel segments"):
+            scan(pa, pb, False)
+    # without the pad the chunk boxes of those edges would not meet
+    monkeypatch.setattr(embed, "_PAD", 0.0)
+    assert _segment_crossings(pa, pb, False) == []
+
+
+def test_crossing_at_a_sample_point_survives_broadphase():
+    # the edges of pa and pb meet at (0.25, 0), a vertex of both
+    pa = _rectangle(0.0, 1.0, -1.0, 0.0, 32, 0.0)
+    pb = _rectangle(0.25, 0.75, -0.5, 0.5, 32, 1.0)
+    for scan in (dense_segment_crossings, _segment_crossings):
+        with pytest.raises(_RetryProjection, match="too close to a sample point"):
+            scan(pa, pb, False)
+
+
+def _pd_outputs(fixtures_dir):
+    conj = parse_ovals((fixtures_dir / "wermer_conj.ovals").read_text())
+    runs = [(conj, "induced", seed, 1) for seed in range(5)]
+    runs += [(conj, "induced", 0, scale) for scale in (2, 4)]
+    runs += [(f, "ccw", i, 1) for i, f in enumerate(_criterion7_forests(20))]
+    out = []
+    for forest, orientation, seed, scale in runs:
+        proj = oval_link_pd(forest, orientation, seed, scale)
+        out.append((render_pd(proj[0]), proj[1], proj.retries))
+    return out
+
+
+def test_pd_output_identical_to_dense_reference(fixtures_dir, monkeypatch):
+    got = _pd_outputs(fixtures_dir)
+    monkeypatch.setattr(embed, "_segment_crossings", dense_segment_crossings)
+    assert got == _pd_outputs(fixtures_dir)
