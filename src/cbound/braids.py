@@ -177,18 +177,6 @@ def component_count(b: BraidWord) -> int:
     return len(perm_cycles(perm_of(b)))
 
 
-def braid_stats(b: BraidWord) -> dict:
-    """Summary numbers for a word: strands, length, writhe, closure
-    component count and the Bennequin Euler characteristic."""
-    return {
-        "strands": b.strands,
-        "length": len(b.letters),
-        "writhe": b.writhe,
-        "components": component_count(b),
-        "bennequin_chi": bennequin_chi(b),
-    }
-
-
 # -- Garside left-canonical form --------------------------------------------
 
 

@@ -9,7 +9,7 @@ compares the whole ledger against expected table fixtures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .braids import (
     BraidWord,
@@ -618,32 +618,18 @@ def apply_rules(
     skein_budget: int = 1 << 20,
     search_budget: int = 100000,
     use_axioms: bool = True,
-    jobs: int = 1,
 ) -> Ledger:
     """Run the bound assembly and the membership fixpoint over the records.
 
-    The fixpoint itself is sequential; ``jobs`` only parallelizes the
-    per-record invariant work (polynomials, searches), whose results do not
-    depend on scheduling.  Raises ClassifyError on certificate failures,
-    contradictory cells or clashing bounds; those are data bugs, not
-    expected outcomes.
+    Raises ClassifyError on certificate failures, contradictory cells or
+    clashing bounds; those are data bugs, not expected outcomes.
     """
     failures = verify_certificates(records)
     if failures:
         raise ClassifyError("certificate verification failed:\n  " + "\n  ".join(failures))
     rows = {r.name: _Row(r, skein_budget) for r in records}
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        def warm(row: _Row):
-            _seed_chi(row, search_budget)
-            row.poly
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            list(pool.map(warm, rows.values()))
-    else:
-        for row in rows.values():
-            _seed_chi(row, search_budget)
+    for row in rows.values():
+        _seed_chi(row, search_budget)
     for _ in range(200):
         busy = _chi_pass(rows)
         busy |= _membership_pass(rows, use_axioms)
@@ -685,13 +671,8 @@ def chi_bounds_for(
 ) -> ChiBounds:
     """Bound assembly for one record in isolation.  Relations to other
     records cannot contribute here; use apply_rules for a full base."""
-    solo = LinkRecord(
-        name=rec.name,
-        braid=rec.braid,
-        certificate=rec.certificate,
-        invertible=rec.invertible,
-        axioms=rec.axioms,
-    )
+    solo = replace(rec, mirror_of=None, sum_kind=None, summands=(), outer=False, expected={},
+                   stated_chi_s=None, stated_chi_minus=None)
     led = apply_rules([solo], skein_budget=skein_budget, search_budget=search_budget)
     return led.rows[solo.name].chi
 
@@ -723,7 +704,6 @@ def axiom_audit(
     *,
     skein_budget: int = 1 << 20,
     search_budget: int = 100000,
-    jobs: int = 1,
 ) -> list[tuple[str, str, str, str]]:
     """Cells that the generic rules alone leave undecided, each attributed
     to the axioms it rests on.
@@ -732,7 +712,7 @@ def axiom_audit(
     cell that goes dark in such a run depends on the dropped axiom, even
     when the axiom lives on a different record and acts through a cascade.
     """
-    pure = apply_rules(records, skein_budget=skein_budget, search_budget=search_budget, use_axioms=False, jobs=jobs)
+    pure = apply_rules(records, skein_budget=skein_budget, search_budget=search_budget, use_axioms=False)
     targets = []
     for rec in records:
         for cls in CLASSES:
@@ -743,23 +723,10 @@ def axiom_audit(
     axiom_list = [(r.name, ax) for r in records for ax in r.axioms]
     for owner, dropped in axiom_list:
         ablated = [
-            LinkRecord(
-                name=r.name,
-                braid=r.braid,
-                certificate=r.certificate,
-                invertible=r.invertible,
-                mirror_of=r.mirror_of,
-                sum_kind=r.sum_kind,
-                summands=r.summands,
-                outer=r.outer,
-                axioms=tuple(a for a in r.axioms if not (r.name == owner and a == dropped)),
-                expected=r.expected,
-                stated_chi_s=r.stated_chi_s,
-                stated_chi_minus=r.stated_chi_minus,
-            )
+            replace(r, axioms=tuple(a for a in r.axioms if not (r.name == owner and a == dropped)))
             for r in records
         ]
-        partial = apply_rules(ablated, skein_budget=skein_budget, search_budget=search_budget, jobs=jobs)
+        partial = apply_rules(ablated, skein_budget=skein_budget, search_budget=search_budget)
         for name, cls, _ in targets:
             if partial.rows[name].cells[cls].verdict == "unknown":
                 needs[(name, cls)].add(dropped.letter)

@@ -1,7 +1,8 @@
 """Command line front end.
 
-One subcommand per pipeline stage.  Exit codes: 0 success, 1 bad input,
-2 computation budget exceeded, 3 fixture or certificate mismatch.
+One subcommand per pipeline stage, each taking only the options it reads.
+Exit codes: 0 success, 1 bad input or usage, 2 computation budget
+exceeded, 3 fixture or certificate mismatch.
 Diagnostics go to stderr; the report stream stays machine-friendly under
 --machine (one key=value per line).
 """
@@ -11,7 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .braids import BraidError, BraidWord
+from .braids import BraidError
 from .classify import (
     ClassifyError,
     LinkRecord,
@@ -45,12 +46,11 @@ def _load_text(arg: str) -> str:
         return fh.read()
 
 
-def _load_diagram(arg: str, unknots: int | None) -> tuple[Diagram, BraidWord | None]:
+def _load_diagram(arg: str, unknots: int | None) -> Diagram:
     text = _load_text(arg).strip()
     if text.startswith("BR"):
-        b = parse_braid(text)
-        return from_braid(b), b
-    return parse_pd(text, unknots), None
+        return from_braid(parse_braid(text))
+    return parse_pd(text, unknots)
 
 
 def _emit_matrix(args, mat: list[list[int]], labels=None):
@@ -67,7 +67,7 @@ def _emit_matrix(args, mat: list[list[int]], labels=None):
 
 
 def cmd_homfly(args) -> int:
-    diag, _ = _load_diagram(args.input, args.unknots)
+    diag = _load_diagram(args.input, args.unknots)
     p = homfly(diag, args.skein_budget)
     if args.machine:
         print("poly=%s" % render_poly(p))
@@ -79,7 +79,7 @@ def cmd_homfly(args) -> int:
 
 
 def cmd_lk(args) -> int:
-    diag, _ = _load_diagram(args.input, args.unknots)
+    diag = _load_diagram(args.input, args.unknots)
     _emit_matrix(args, linking_matrix(diag))
     return 0
 
@@ -229,62 +229,60 @@ def cmd_ovals(args) -> int:
 
 def cmd_classify(args) -> int:
     records = parse_kb(_load_text(args.kb))
-    ledger = apply_rules(
-        records, skein_budget=args.skein_budget, search_budget=args.search_budget, jobs=args.jobs
-    )
+    ledger = apply_rules(records, skein_budget=args.skein_budget, search_budget=args.search_budget)
     print(describe_ledger(records, ledger, machine=args.machine))
     return 0
 
 
 def cmd_table1(args) -> int:
     records = parse_kb(_load_text(args.kb))
-    ledger = apply_rules(
-        records, skein_budget=args.skein_budget, search_budget=args.search_budget, jobs=args.jobs
-    )
-    audit = axiom_audit(
-        records, ledger, skein_budget=args.skein_budget, search_budget=args.search_budget, jobs=args.jobs
-    )
+    ledger = apply_rules(records, skein_budget=args.skein_budget, search_budget=args.search_budget)
+    audit = axiom_audit(records, ledger, skein_budget=args.skein_budget, search_budget=args.search_budget)
     text, mismatches = table1_report(records, ledger, audit, machine=args.machine)
     print(text)
     return 3 if mismatches else 0
 
 
+def _option(flag: str, **kw) -> argparse.ArgumentParser:
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument(flag, **kw)
+    return parent
+
+
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="projection chart seed")
-    common.add_argument("--skein-budget", type=int, default=1 << 20, dest="skein_budget",
-                        help="node cap for skein recursion")
-    common.add_argument("--search-budget", type=int, default=100000, dest="search_budget",
-                        help="node cap for the chi search")
-    common.add_argument("--jobs", type=int, default=1, help="worker threads for per-link invariants")
-    common.add_argument("--machine", action="store_true", help="key=value output")
+    machine = _option("--machine", action="store_true", help="key=value output")
+    skein = _option("--skein-budget", type=int, default=1 << 20, dest="skein_budget",
+                    help="node cap for skein recursion")
+    search = _option("--search-budget", type=int, default=100000, dest="search_budget",
+                     help="node cap for the chi search")
+    seed = _option("--seed", type=int, default=0, help="projection chart seed")
 
     ap = argparse.ArgumentParser(prog="cbound", description="link invariants and boundary classification")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("homfly", parents=[common], help="skein polynomial of a braid closure or PD code")
+    p = sub.add_parser("homfly", parents=[machine, skein], help="skein polynomial of a braid closure or PD code")
     p.add_argument("input", help="BR[...] or PD[...] literal, or a file holding one")
     p.add_argument("--unknots", type=int, default=None, help="free loop count for crossingless PD input")
     p.set_defaults(func=cmd_homfly)
 
-    p = sub.add_parser("lk", parents=[common], help="linking matrix")
+    p = sub.add_parser("lk", parents=[machine], help="linking matrix")
     p.add_argument("input")
     p.add_argument("--unknots", type=int, default=None)
     p.set_defaults(func=cmd_lk)
 
-    p = sub.add_parser("chi", parents=[common], help="two-sided slice characteristic bounds")
+    p = sub.add_parser("chi", parents=[machine, skein, search], help="two-sided slice characteristic bounds")
     p.add_argument("input", help="BR[...] literal or file")
     p.set_defaults(func=cmd_chi)
 
-    p = sub.add_parser("qp-verify", parents=[common], help="check a quasipositive factorization file")
+    p = sub.add_parser("qp-verify", parents=[machine], help="check a quasipositive factorization file")
     p.add_argument("input")
     p.set_defaults(func=cmd_qp_verify)
 
-    p = sub.add_parser("qp-obstruct", parents=[common], help="polynomial order obstruction")
+    p = sub.add_parser("qp-obstruct", parents=[machine, skein, search], help="polynomial order obstruction")
     p.add_argument("input")
     p.set_defaults(func=cmd_qp_obstruct)
 
-    p = sub.add_parser("ovals", parents=[common], help="oval forest pipeline")
+    p = sub.add_parser("ovals", parents=[machine, skein, seed], help="oval forest pipeline")
     p.add_argument("stage", choices=["realize", "cable", "splice", "embed"])
     p.add_argument("file")
     p.add_argument("--orientation", choices=["ccw", "induced"], default="ccw")
@@ -292,18 +290,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--svg", default=None, metavar="OUT.SVG")
     p.set_defaults(func=cmd_ovals)
 
-    p = sub.add_parser("classify", parents=[common], help="run the rule engine on a knowledge base")
+    p = sub.add_parser("classify", parents=[machine, skein, search], help="run the rule engine on a knowledge base")
     p.add_argument("kb")
     p.set_defaults(func=cmd_classify)
 
-    p = sub.add_parser("table1", parents=[common], help="reproduce the classification table")
+    p = sub.add_parser("table1", parents=[machine, skein, search], help="reproduce the classification table")
     p.add_argument("kb")
     p.set_defaults(func=cmd_table1)
     return ap
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as e:  # argparse exits 0 after --help and 2 on a usage error
+        return 1 if e.code else 0
     try:
         return args.func(args)
     except BudgetExceeded as e:

@@ -235,12 +235,6 @@ def mirror_diagram(d: Diagram) -> Diagram:
     return Diagram(out, [list(c) for c in d.components], d.free_loops)
 
 
-def reverse_diagram(d: Diagram) -> Diagram:
-    out = [(uo, ui, oo, oi, s) for ui, uo, oi, oo, s in d.crossings]
-    comps = [list(reversed(c)) for c in d.components]
-    return Diagram(out, comps, d.free_loops)
-
-
 def reverse_component(d: Diagram, idx: int) -> Diagram:
     """Reverse the orientation of a single component."""
     where = _component_of_arc(d)
@@ -278,47 +272,6 @@ def disjoint_sum(d1: Diagram, d2: Diagram) -> Diagram:
     e2 = _relabel(d2, off)
     return Diagram(d1.crossings + e2.crossings, [list(c) for c in d1.components] + e2.components,
                    d1.free_loops + d2.free_loops)
-
-
-def connected_sum(d1: Diagram, d2: Diagram, c1: int = 0, c2: int = 0) -> Diagram:
-    """Join component ``c1`` of ``d1`` to component ``c2`` of ``d2`` by a
-    trivial band at their first arcs."""
-    if not d1.components or not d2.components:
-        raise DiagramError("connected summands need at least one arc-bearing component")
-    off = max_arc(d1)
-    e2 = _relabel(d2, off)
-    a1 = d1.components[c1][0]
-    a2 = e2.components[c2][0]
-
-    def swap_in(crossings):
-        out = []
-        for ui, uo, oi, oo, s in crossings:
-            nui = a2 if ui == a1 else (a1 if ui == a2 else ui)
-            noi = a2 if oi == a1 else (a1 if oi == a2 else oi)
-            out.append((nui, uo, noi, oo, s))
-        return out
-
-    crossings = swap_in(d1.crossings + e2.crossings)
-    merged = walk_components(crossings)
-    # keep d1's ordering, with the fused component at slot c1
-    order: list[list[int]] = []
-    placed = set()
-
-    def place(start_arc):
-        for comp in merged:
-            if start_arc in comp and id(comp) not in placed:
-                j = comp.index(start_arc)
-                order.append(comp[j:] + comp[:j])
-                placed.add(id(comp))
-                return
-        raise DiagramError("lost a component while joining")
-
-    for i, comp in enumerate(d1.components):
-        place(comp[0])
-    for i, comp in enumerate(e2.components):
-        if i != c2:
-            place(comp[0])
-    return Diagram(crossings, order, d1.free_loops + d2.free_loops)
 
 
 def remove_crossings(d: Diagram, kill: set[int], joins: list[tuple[int, int]]) -> Diagram:

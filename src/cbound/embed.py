@@ -52,6 +52,9 @@ class _RetryProjection(Exception):
 
 
 _GOLDEN = 2.399963229728653  # angular spread for the w-phases
+# Samples per oval at most; the chunk-overlap matrix of a curve pair then
+# holds at most (2^15 / _CHUNK)^2 = 4096^2 bools (16 MiB).
+_MAX_SAMPLES = 1 << 15
 
 # Broadphase of the crossing scan; see the module docstring.
 _CHUNK = 8  # consecutive segments per box
@@ -137,21 +140,29 @@ def parametrize(forest: OvalForest, orientation: str = "ccw",
     """Sample every oval as a closed polygon on S^3.
 
     Returns (oval id, points) pairs in id order; points are rows
-    (Re z, Im z, Re w, Im w).
+    (Re z, Im z, Re w, Im w).  Each oval gets
+    max(256, 64 * (1 + |winding|)) * samples_scale points; an oval that
+    would need more than _MAX_SAMPLES raises EmbedError.
     """
     if orientation not in ("ccw", "induced"):
         raise ValueError("orientation must be 'ccw' or 'induced'")
     if samples_scale < 1:
         raise EmbedError("samples scale must be an integer >= 1, got %s" % samples_scale)
     check_geometry(forest)
-    out = []
+    counts = {}
     for ident in forest.ids():
+        a = forest.by_id(ident).winding
+        counts[ident] = m = max(256, 64 * (1 + abs(a))) * samples_scale
+        if m > _MAX_SAMPLES:
+            raise EmbedError("oval %d (winding %d) at samples scale %d needs %d samples, more than %d"
+                             % (ident, a, samples_scale, m, _MAX_SAMPLES))
+    out = []
+    for ident, m in counts.items():
         o = forest.by_id(ident)
         a = o.winding
         sgn = 1
         if orientation == "induced" and forest.depth(ident) % 2 == 1:
             sgn = -1
-        m = max(256, 64 * (1 + abs(a))) * samples_scale
         t = np.linspace(0.0, 2 * math.pi, m, endpoint=False)
         z = (o.cx + 1j * o.cy) + o.r * np.exp(1j * sgn * t)
         rho = np.sqrt(np.maximum(0.0, 1.0 - np.abs(z) ** 2))

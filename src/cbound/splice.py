@@ -435,18 +435,3 @@ def random_realizable_forest(rng, max_ovals: int = 6) -> OvalForest:
         o["winding"] = sum(c["winding"] for c in kids)
     return OvalForest([Oval(o["ident"], o["parent"], o["winding"], fiber=o["fiber"])
                        for o in ovals])
-
-
-def render_dot(sd: SpliceDiagram) -> str:
-    out = ["graph splice {"]
-    for v, sv in sorted(sd.vertices.items()):
-        if sv.kind == "arrow":
-            out.append('  v%d [shape=rarrow, label="%s"];' % (v, sv.label if sv.label is not None else ""))
-        elif sv.kind == "stub":
-            out.append('  v%d [shape=circle, label=""];' % v)
-        else:
-            out.append('  v%d [shape=point];' % v)
-    for e in sd.edges:
-        out.append('  v%d -- v%d [taillabel="%d", headlabel="%d"];' % (e.v1, e.v2, e.w1, e.w2))
-    out.append("}")
-    return "\n".join(out)

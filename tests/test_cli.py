@@ -1,8 +1,15 @@
 """Command line surface: outputs, exit codes, machine mode."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 from cbound.cli import main
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 WERMER_BRAID = "BR[3,{1,2,1,1,2,1}]"
 
@@ -93,6 +100,14 @@ def test_ovals_embed_rejects_samples_scale_below_one(capsys, fixtures_dir, scale
     assert err.startswith("error: samples scale must be an integer >= 1")
 
 
+def test_ovals_embed_rejects_samples_beyond_the_cap(capsys, fixtures_dir):
+    code, out, err = run(capsys, "ovals", "embed", str(fixtures_dir / "hopf.ovals"),
+                         "--samples-scale", "100000")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: oval 1 (winding 1) at samples scale 100000 needs 25600000 samples")
+
+
 def test_table1_clean(capsys, fixtures_dir):
     code, out, _ = run(capsys, "table1", str(fixtures_dir / "table1.kb"))
     assert code == 0
@@ -132,10 +147,37 @@ def test_missing_file_exit_code(capsys):
     assert code == 1
 
 
-def test_reports_byte_stable_across_jobs(capsys, fixtures_dir):
-    _, one, _ = run(capsys, "table1", str(fixtures_dir / "table1.kb"), "--jobs", "1")
-    _, four, _ = run(capsys, "table1", str(fixtures_dir / "table1.kb"), "--jobs", "4")
-    assert one == four
+@pytest.mark.parametrize("command", ["table1", "classify"])
+def test_report_matches_golden_stdout(capsys, fixtures_dir, command):
+    code, out, _ = run(capsys, command, str(fixtures_dir / "table1.kb"))
+    assert code == 0
+    assert out == (fixtures_dir / ("%s.out" % command)).read_text()
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["lk", "BR[2,{1,1}]", "--jobs", "2"], 1),
+    (["--help"], 0),
+    (["homfly", "BR[2,{1,1,1}]"], 0),
+])
+def test_process_exit_codes(argv, code):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "cbound.cli", *argv], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == code, proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["lk", "BR[2,{1,1}]", "--seed", "9"],
+    ["lk", "BR[2,{1,1}]", "--search-budget", "5"],
+    ["homfly", "BR[2,{1,1}]", "--search-budget", "5"],
+    ["qp-verify", "BR[2,{1,1}]", "--skein-budget", "5"],
+    ["table1", "kb", "--seed", "1"],
+])
+def test_options_a_subcommand_does_not_read_are_usage_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert "error:" in err
 
 
 def test_table1_machine_mode(capsys, fixtures_dir):

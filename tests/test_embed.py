@@ -72,6 +72,13 @@ def test_parametrize_rejects_scale_below_one(scale):
         parametrize(parse_ovals(HOPF_TEXT), samples_scale=scale)
 
 
+def test_parametrize_caps_samples_per_oval():
+    f = parse_ovals(HOPF_TEXT)
+    assert [len(points) for _, points in parametrize(f, samples_scale=128)] == [1 << 15] * 2
+    with pytest.raises(EmbedError, match=r"^oval 1 \(winding 1\) at samples scale 129 needs 33024 samples"):
+        parametrize(f, samples_scale=129)
+
+
 def test_parametrize_sample_counts_scale():
     f = parse_ovals(HOPF_TEXT)
     base = parametrize(f)
