@@ -264,22 +264,32 @@ def braid_equal(a: BraidWord, b: BraidWord) -> bool:
 # -- word rewriting moves ----------------------------------------------------
 
 
-def reduce_word(b: BraidWord) -> BraidWord:
-    """Free reduction: cancel adjacent inverse pairs until none remain."""
+def _free_reduce(word: tuple[int, ...]) -> tuple[int, ...]:
     out: list[int] = []
-    for x in b.letters:
+    for x in word:
         if out and out[-1] == -x:
             out.pop()
         else:
             out.append(x)
-    return BraidWord(b.strands, tuple(out))
+    return tuple(out)
 
 
-def isolated_indices(b: BraidWord) -> list[int]:
+def _destabilize(word: tuple[int, ...]) -> tuple[int, ...] | None:
     counts: dict[int, int] = {}
-    for x in b.letters:
+    for x in word:
         counts[abs(x)] = counts.get(abs(x), 0) + 1
-    return sorted(i for i, c in counts.items() if c == 1)
+    lone = [i for i, c in counts.items() if c == 1]
+    if not lone:
+        return None
+    i = min(lone)
+    low = [x for x in word if abs(x) < i]
+    high = [x - 1 if x > 0 else x + 1 for x in word if abs(x) > i]
+    return tuple(low + high)
+
+
+def reduce_word(b: BraidWord) -> BraidWord:
+    """Free reduction: cancel adjacent inverse pairs until none remain."""
+    return BraidWord(b.strands, _free_reduce(b.letters))
 
 
 def destabilize_isolated(b: BraidWord) -> BraidWord | None:
@@ -292,13 +302,8 @@ def destabilize_isolated(b: BraidWord) -> BraidWord | None:
     the letters in place instead would interleave the blocks across the
     shared strand and generally change the link.
     """
-    iso = isolated_indices(b)
-    if not iso:
-        return None
-    i = iso[0]
-    low = [x for x in b.letters if abs(x) < i]
-    high = [x - 1 if x > 0 else x + 1 for x in b.letters if abs(x) > i]
-    return BraidWord(b.strands - 1, tuple(low + high))
+    dest = _destabilize(b.letters)
+    return None if dest is None else BraidWord(b.strands - 1, dest)
 
 
 _RELATION_SIGNS = {
@@ -322,12 +327,12 @@ def _neighbors(word: tuple[int, ...], strands: int):
     for t, x in enumerate(word):
         if x < 0:
             yield ("flip", strands, word[:t] + (-x,) + word[t + 1 :])
-    red = reduce_word(BraidWord(strands, word))
-    if red.letters != word:
-        yield ("reduce", strands, red.letters)
-    dest = destabilize_isolated(BraidWord(strands, word))
+    red = _free_reduce(word)
+    if red != word:
+        yield ("reduce", strands, red)
+    dest = _destabilize(word)
     if dest is not None:
-        yield ("destab", dest.strands, dest.letters)
+        yield ("destab", strands - 1, dest)
     if len(word) > 1:
         yield ("rotate", strands, word[1:] + word[:1])
     for t in range(len(word) - 1):
@@ -401,10 +406,9 @@ def chi_minus_lower_bound(b: BraidWord, budget: int = 100000) -> ChiSearchResult
                     best_key = nkey
             heapq.heappush(heap, (len(nw), next(counter), nw, ns))
     if best_score is None:
-        # fall back on flipping every remaining negative letter at once
-        flip_all = BraidWord(start.strands, tuple(abs(x) for x in start.letters))
-        red = reduce_word(flip_all)
-        return ChiSearchResult(red.strands - len(red.letters), [], True, explored)
+        # fall back on flipping every remaining negative letter at once; a
+        # positive word has nothing left to cancel
+        return ChiSearchResult(bennequin_chi(start), [], True, explored)
     path: list[tuple[str, BraidWord]] = []
     key = best_key
     while parents[key] is not None:
@@ -461,12 +465,19 @@ def seifert_matrix_of_closure(b: BraidWord) -> list[list[Fraction]]:
     return v
 
 
-def _symmetric_diagonal_signs(mat: list[list[Fraction]]) -> tuple[int, int, int]:
-    """(positives, negatives, zeros) of a symmetric matrix over Q by
-    congruence reduction."""
-    m = [row[:] for row in mat]
-    n = len(m)
+def _seifert_reduction(b: BraidWord) -> tuple[int, int, int, Fraction]:
+    """(positives, negatives, zeros, product of the nonzero pivots) of the
+    symmetrized Seifert form V + V^T by congruence reduction over Q.
+
+    Every step adds a multiple of one row and the same multiple of the
+    matching column to another row and column, a congruence of determinant
+    1, so when no zero block is left the pivot product is det(V + V^T).
+    """
+    v = seifert_matrix_of_closure(b)
+    n = len(v)
+    m = [[v[a][c] + v[c][a] for c in range(n)] for a in range(n)]
     pos = neg = zero = 0
+    det = Fraction(1)
     idx = list(range(n))
     while idx:
         # find a nonzero diagonal entry among the remaining rows
@@ -500,6 +511,7 @@ def _symmetric_diagonal_signs(mat: list[list[Fraction]]) -> tuple[int, int, int]
             pos += 1
         else:
             neg += 1
+        det *= d
         idx.remove(piv)
         for a in idx:
             f = m[a][piv] / d
@@ -508,20 +520,11 @@ def _symmetric_diagonal_signs(mat: list[list[Fraction]]) -> tuple[int, int, int]
                     m[a][c] -= f * m[piv][c]
                 for r in range(n):
                     m[r][a] -= f * m[r][piv]
-    return pos, neg, zero
+    return pos, neg, zero, det
 
 
-def signature_and_nullity(b: BraidWord) -> tuple[int, int]:
-    """Signature and nullity of the closure, from the banded surface.
-
-    The nullity counts the kernel of the symmetrized Seifert form plus one
-    for each extra split piece of the surface beyond the first.
-    """
-    v = seifert_matrix_of_closure(b)
-    n = len(v)
-    sym = [[v[a][c] + v[c][a] for c in range(n)] for a in range(n)]
-    pos, neg, zero = _symmetric_diagonal_signs(sym)
-    # connected pieces of the surface: strands joined by used columns
+def _surface_pieces(b: BraidWord) -> int:
+    """Connected pieces of the banded surface: strands joined by used columns."""
     parent = list(range(b.strands))
 
     def find(x):
@@ -535,35 +538,24 @@ def signature_and_nullity(b: BraidWord) -> tuple[int, int]:
         a, c = find(i - 1), find(i)
         if a != c:
             parent[a] = c
-    pieces = len({find(s) for s in range(b.strands)})
-    return pos - neg, zero + pieces - 1
+    return len({find(s) for s in range(b.strands)})
+
+
+def signature_and_nullity(b: BraidWord) -> tuple[int, int]:
+    """Signature and nullity of the closure, from the banded surface.
+
+    The nullity counts the kernel of the symmetrized Seifert form plus one
+    for each extra split piece of the surface beyond the first.
+    """
+    pos, neg, zero, _ = _seifert_reduction(b)
+    return pos - neg, zero + _surface_pieces(b) - 1
 
 
 def determinant_of_closure(b: BraidWord) -> int:
     """Link determinant |det(V + V^T)| of the closure; 0 for split links."""
-    _, nullity = signature_and_nullity(b)
-    if nullity > 0:
+    _, _, zero, det = _seifert_reduction(b)
+    if zero or _surface_pieces(b) > 1:
         return 0
-    v = seifert_matrix_of_closure(b)
-    n = len(v)
-    m = [[v[a][c] + v[c][a] for c in range(n)] for a in range(n)]
-    det = Fraction(1)
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if m[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            return 0
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        det *= m[col][col]
-        for r in range(col + 1, n):
-            f = m[r][col] / m[col][col]
-            for c in range(col, n):
-                m[r][c] -= f * m[col][c]
     assert det.denominator == 1
     return abs(int(det))
 

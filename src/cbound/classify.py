@@ -9,6 +9,7 @@ compares the whole ledger against expected table fixtures.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 from .braids import (
@@ -26,7 +27,7 @@ from .braids import (
     sub_braid,
     signature_and_nullity,
 )
-from .diagrams import from_braid, linking_matrix, zero_linking_sublinks
+from .diagrams import zero_linking_sublinks
 from .homfly import LaurentPoly2, homfly_braid, unlink_poly, fwm_obstruction
 from .notation import ParseError, parse_braid
 
@@ -104,6 +105,7 @@ class RowResult:
     chi_sources: dict[str, dict[frozenset, tuple[int, str]]]
     search_witness: list
     search_truncated: bool
+    poly: LaurentPoly2
 
 
 @dataclass
@@ -152,12 +154,7 @@ class _Bound:
 
 
 def _is_square(n: int) -> bool:
-    if n < 0:
-        return False
-    r = int(n**0.5)
-    while r * r < n:
-        r += 1
-    return r * r == n
+    return n >= 0 and math.isqrt(n) ** 2 == n
 
 
 class _Row:
@@ -176,7 +173,9 @@ class _Row:
         self.m_lo = _Bound("lo", self.mu)
         self.m_hi = _Bound("hi", self.mu)
         self.derivs: dict[str, dict[tuple[str, frozenset], Derivation]] = {c: {} for c in CLASSES}
-        self._poly: LaurentPoly2 | None = None
+        # one skein evaluation per braid word: a knot's only component word
+        # is the record's own word
+        self._polys: dict[BraidWord, LaurentPoly2] = {}
         self.search = None
 
     def _cycle_linking(self) -> list[list[int]]:
@@ -197,11 +196,14 @@ class _Row:
             occ[i - 1], occ[i] = c, a
         return [[v // 2 for v in row] for row in acc]
 
+    def poly_of(self, w: BraidWord) -> LaurentPoly2:
+        if w not in self._polys:
+            self._polys[w] = homfly_braid(w, self.skein_budget)
+        return self._polys[w]
+
     @property
     def poly(self) -> LaurentPoly2:
-        if self._poly is None:
-            self._poly = homfly_braid(self.word, self.skein_budget)
-        return self._poly
+        return self.poly_of(self.word)
 
     def component_word(self, k: int) -> BraidWord:
         return sub_braid(self.word, set(self.cycles[k]))
@@ -215,7 +217,7 @@ class _Row:
         knotted = False
         for k in range(self.mu):
             w = self.component_word(k)
-            if w.letters and homfly_braid(w, self.skein_budget) != LaurentPoly2.const(1):
+            if w.letters and self.poly_of(w) != LaurentPoly2.const(1):
                 knotted = True
             total = sum(self.lk[k][j] for j in range(self.mu) if j != k)
             if total != 0:
@@ -656,9 +658,7 @@ def apply_rules(
             "chi_s_minus.lo": dict(row.m_lo.data),
             "chi_s_minus.hi": dict(row.m_hi.data),
         }
-        out[name] = RowResult(
-            name, chi, cells, sources, row.search.witness if row.search else [], bool(row.search and row.search.truncated)
-        )
+        out[name] = RowResult(name, chi, cells, sources, row.search.witness, row.search.truncated, row.poly)
     _check_chain(out)
     return Ledger(out)
 

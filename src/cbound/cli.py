@@ -25,7 +25,7 @@ from .classify import (
 )
 from .diagrams import Diagram, DiagramError, from_braid, linking_matrix
 from .embed import EmbedError, linking_by_id, oval_link_pd, render_svg
-from .homfly import BudgetExceeded, homfly, homfly_braid
+from .homfly import BudgetExceeded, homfly
 from .notation import ParseError, parse_braid, parse_ovals, parse_pd, render_braid, render_pd, render_poly
 from .splice import (
     OvalError,
@@ -152,11 +152,11 @@ def cmd_qp_obstruct(args) -> int:
     b = parse_braid(_load_text(args.input).strip())
     rec = LinkRecord("input", b)
     ledger = apply_rules([rec], skein_budget=args.skein_budget, search_budget=args.search_budget)
-    hi = ledger.rows["input"].chi.chi_s[1]
-    p = homfly_braid(b, args.skein_budget)
+    row = ledger.rows["input"]
+    hi = row.chi.chi_s[1]
     from .homfly import fwm_obstruction
 
-    ob = fwm_obstruction(p, hi)
+    ob = fwm_obstruction(row.poly, hi)
     verdict = "refuted" if ob["refuted"] else "consistent"
     if args.machine:
         print("ord_v=%d" % ob["ord_v"])

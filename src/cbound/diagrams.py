@@ -15,7 +15,7 @@ counterclockwise from the incoming under-strand) maps to records as
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .braids import BraidWord, perm_cycles, perm_of
 
@@ -314,7 +314,7 @@ def simplify_diagram(d: Diagram) -> Diagram:
     Only moves that shrink the crossing count are applied, so this always
     terminates; it is a cheap preprocessor, not a full simplifier.
     """
-    cur = Diagram([c for c in d.crossings], [list(c) for c in d.components], d.free_loops)
+    cur = d.copy()
     changed = True
     while changed:
         changed = False

@@ -1,6 +1,8 @@
 """Braid word operations, closure invariants, and the chi search."""
 
+import json
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -29,6 +31,7 @@ from cbound.braids import (
     split_sum_word,
     sub_braid,
 )
+from cbound.notation import parse_braid, render_braid
 
 TREFOIL = BraidWord(2, (1, 1, 1))
 FIG8 = BraidWord(3, (-1, 2, -1, 2))
@@ -175,3 +178,111 @@ def test_reduce_preserves_permutation(seed):
                  (rng.randint(1, n - 1) for _ in range(8)))
     b = BraidWord(n, word)
     assert perm_of(reduce_word(b)) == perm_of(b)
+
+
+# -- the Seifert invariants against the two-path reference --------------------
+
+
+def reference_signature_and_nullity(b):
+    """Signature and nullity as the program computed them before one
+    congruence reduction served both them and the determinant."""
+    v = seifert_matrix_of_closure(b)
+    n = len(v)
+    m = [[v[a][c] + v[c][a] for c in range(n)] for a in range(n)]
+    pos = neg = zero = 0
+    idx = list(range(n))
+    while idx:
+        piv = next((a for a in idx if m[a][a] != 0), None)
+        if piv is None:
+            hot = next(((a, c) for a in idx for c in idx if a != c and m[a][c] != 0), None)
+            if hot is None:
+                zero += len(idx)
+                break
+            a, bb = hot
+            for c in range(n):
+                m[a][c] += m[bb][c]
+            for r in range(n):
+                m[r][a] += m[r][bb]
+            continue
+        d = m[piv][piv]
+        if d > 0:
+            pos += 1
+        else:
+            neg += 1
+        idx.remove(piv)
+        for a in idx:
+            f = m[a][piv] / d
+            if f != 0:
+                for c in range(n):
+                    m[a][c] -= f * m[piv][c]
+                for r in range(n):
+                    m[r][a] -= f * m[r][piv]
+    parent = list(range(b.strands))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for x in b.letters:
+        a, c = find(abs(x) - 1), find(abs(x))
+        if a != c:
+            parent[a] = c
+    pieces = len({find(s) for s in range(b.strands)})
+    return pos - neg, zero + pieces - 1
+
+
+def reference_determinant(b):
+    """|det(V + V^T)| by a separate Gaussian elimination, 0 when the
+    reference nullity is positive."""
+    if reference_signature_and_nullity(b)[1] > 0:
+        return 0
+    v = seifert_matrix_of_closure(b)
+    n = len(v)
+    m = [[v[a][c] + v[c][a] for c in range(n)] for a in range(n)]
+    det = Fraction(1)
+    for col in range(n):
+        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
+        if piv is None:
+            return 0
+        if piv != col:
+            m[col], m[piv] = m[piv], m[col]
+            det = -det
+        det *= m[col][col]
+        for r in range(col + 1, n):
+            f = m[r][col] / m[col][col]
+            for c in range(col, n):
+                m[r][c] -= f * m[col][c]
+    assert det.denominator == 1
+    return abs(int(det))
+
+
+def random_word(rng, max_strands, max_length):
+    n = rng.randint(1, max_strands)
+    length = rng.randint(0, max_length) if n > 1 else 0
+    return BraidWord(n, tuple(rng.choice([1, -1]) * rng.randint(1, n - 1) for _ in range(length)))
+
+
+def test_seifert_invariants_match_two_path_reference():
+    rng = random.Random(4401)
+    for _ in range(600):
+        b = random_word(rng, 5, 14)
+        assert signature_and_nullity(b) == reference_signature_and_nullity(b), b
+        assert determinant_of_closure(b) == reference_determinant(b), b
+
+
+# -- the chi search against results pinned before the tuple rewrite ----------
+
+
+def test_chi_search_matches_pinned_results(fixtures_dir):
+    pinned = json.loads((fixtures_dir / "chi_search.json").read_text())
+    for case in pinned["cases"]:
+        r = chi_minus_lower_bound(parse_braid(case["word"]), pinned["budget"])
+        got = {
+            "word": case["word"],
+            "score": r.score,
+            "truncated": r.truncated,
+            "explored": r.explored,
+            "witness": ["%s %s" % (move, render_braid(w)) for move, w in r.witness],
+        }
+        assert got == case

@@ -4,6 +4,7 @@ import pytest
 
 from cbound.classify import (
     ClassifyError,
+    _is_square,
     apply_rules,
     axiom_audit,
     chi_bounds_for,
@@ -153,3 +154,11 @@ def test_empty_kb():
     assert led.rows == {}
     text, mismatches = table1_report([], led)
     assert mismatches == 0
+
+
+def test_is_square_is_exact_for_large_ints():
+    assert _is_square((2**60 + 200) ** 2)
+    assert not _is_square((2**60 + 200) ** 2 + 1)
+    assert _is_square(10**400)
+    assert not _is_square(10**400 + 1)
+    assert _is_square(0) and _is_square(1) and not _is_square(2) and not _is_square(-4)

@@ -147,11 +147,48 @@ def test_missing_file_exit_code(capsys):
     assert code == 1
 
 
-@pytest.mark.parametrize("command", ["table1", "classify"])
-def test_report_matches_golden_stdout(capsys, fixtures_dir, command):
-    code, out, _ = run(capsys, command, str(fixtures_dir / "table1.kb"))
+@pytest.mark.parametrize("argv, golden", [
+    pytest.param(["table1", "{fixtures}/table1.kb"], "table1.out", id="table1"),
+    pytest.param(["classify", "{fixtures}/table1.kb"], "classify.out", id="classify"),
+    pytest.param(["chi", "BR[3,{1,-2,-1,-1,-2}]"], "chi.out", id="chi"),
+    pytest.param(["chi", "BR[3,{1,-2,-1,-1,-2}]", "--machine"], "chi.machine.out", id="chi-machine"),
+    pytest.param(["qp-obstruct", "BR[3,{1,-2,1,-2,1}]"], "qp-obstruct.out", id="qp-obstruct"),
+    pytest.param(["qp-obstruct", "BR[3,{1,-2,1,-2,1}]", "--machine"], "qp-obstruct.machine.out",
+                 id="qp-obstruct-machine"),
+])
+def test_report_matches_golden_stdout(capsys, fixtures_dir, argv, golden):
+    code, out, _ = run(capsys, *(a.replace("{fixtures}", str(fixtures_dir)) for a in argv))
     assert code == 0
-    assert out == (fixtures_dir / ("%s.out" % command)).read_text()
+    assert out == (fixtures_dir / golden).read_text()
+
+
+def test_qp_obstruct_evaluates_the_polynomial_once(capsys, monkeypatch):
+    import cbound.homfly
+
+    sizes = []
+    real = cbound.homfly.homfly
+
+    def counting(diag, *args, **kwargs):
+        sizes.append(len(diag.crossings))
+        return real(diag, *args, **kwargs)
+
+    monkeypatch.setattr(cbound.homfly, "homfly", counting)
+    code, out, _ = run(capsys, "qp-obstruct", "BR[3,{1,-2,1,-2,1}]")
+    assert code == 0 and "verdict: refuted" in out
+    assert sizes.count(5) == 1
+
+
+def test_chi_stops_before_the_search_when_a_knot_exceeds_the_skein_budget(capsys, monkeypatch):
+    import cbound.classify
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("chi search ran after the skein budget was exceeded")
+
+    monkeypatch.setattr(cbound.classify, "chi_minus_lower_bound", no_search)
+    code, out, err = run(capsys, "chi", "BR[2,{1,1,1}]", "--skein-budget", "3")
+    assert code == 2
+    assert out == ""
+    assert "skein recursion exceeded 3 nodes" in err
 
 
 @pytest.mark.parametrize("argv, code", [

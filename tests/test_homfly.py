@@ -100,10 +100,15 @@ def test_budget_guard():
 
 
 def test_determinant_via_poly():
-    for word in ("BR[2,{1,1,1}]", "BR[3,{-1,2,-1,2}]", "BR[2,{1,1}]",
-                 "BR[3,{1,1,2,2,1,-2}]"):
-        b = _braid(word)
-        assert determinant_from_poly(homfly_braid(b)) == determinant_of_closure(b)
+    words = [_braid(w) for w in ("BR[2,{1,1,1}]", "BR[3,{-1,2,-1,2}]", "BR[2,{1,1}]",
+                                 "BR[3,{1,1,2,2,1,-2}]")]
+    rng = random.Random(77)
+    for _ in range(60):
+        n = rng.randint(2, 4)
+        words.append(BraidWord(n, tuple(rng.choice([1, -1]) * rng.randint(1, n - 1)
+                                        for _ in range(rng.randint(0, 9)))))
+    for b in words:
+        assert determinant_from_poly(homfly_braid(b)) == determinant_of_closure(b), b
 
 
 def test_fwm_obstruction_dict():
