@@ -541,23 +541,31 @@ def _surface_pieces(b: BraidWord) -> int:
     return len({find(s) for s in range(b.strands)})
 
 
-def signature_and_nullity(b: BraidWord) -> tuple[int, int]:
-    """Signature and nullity of the closure, from the banded surface.
+def seifert_invariants(b: BraidWord) -> tuple[int, int, int]:
+    """Signature, nullity and determinant of the closure, from one
+    reduction of the banded surface's Seifert form.
 
     The nullity counts the kernel of the symmetrized Seifert form plus one
-    for each extra split piece of the surface beyond the first.
+    for each extra split piece of the surface beyond the first.  The
+    determinant is |det(V + V^T)|, and 0 for split links.
     """
-    pos, neg, zero, _ = _seifert_reduction(b)
-    return pos - neg, zero + _surface_pieces(b) - 1
+    pos, neg, zero, det = _seifert_reduction(b)
+    extra_pieces = _surface_pieces(b) - 1
+    if zero or extra_pieces:
+        return pos - neg, zero + extra_pieces, 0
+    assert det.denominator == 1
+    return pos - neg, 0, abs(int(det))
+
+
+def signature_and_nullity(b: BraidWord) -> tuple[int, int]:
+    """Signature and nullity of the closure (see ``seifert_invariants``)."""
+    sig, nul, _ = seifert_invariants(b)
+    return sig, nul
 
 
 def determinant_of_closure(b: BraidWord) -> int:
     """Link determinant |det(V + V^T)| of the closure; 0 for split links."""
-    _, _, zero, det = _seifert_reduction(b)
-    if zero or _surface_pieces(b) > 1:
-        return 0
-    assert det.denominator == 1
-    return abs(int(det))
+    return seifert_invariants(b)[2]
 
 
 def murasugi_chi_upper(b: BraidWord) -> int:

@@ -18,14 +18,12 @@ from .braids import (
     bennequin_chi,
     braid_equal,
     chi_minus_lower_bound,
-    determinant_of_closure,
     expand_qp,
-    murasugi_chi_upper,
     perm_cycles,
     perm_of,
     qp_chi,
+    seifert_invariants,
     sub_braid,
-    signature_and_nullity,
 )
 from .diagrams import zero_linking_sublinks
 from .homfly import LaurentPoly2, homfly_braid, unlink_poly, fwm_obstruction
@@ -160,7 +158,7 @@ def _is_square(n: int) -> bool:
 class _Row:
     """Working state for one record: cached invariants plus bound tables."""
 
-    def __init__(self, rec: LinkRecord, skein_budget: int):
+    def __init__(self, rec: LinkRecord, skein_budget: int, seifert: dict[BraidWord, tuple[int, int, int]]):
         self.rec = rec
         self.word = rec.braid
         self.skein_budget = skein_budget
@@ -176,6 +174,8 @@ class _Row:
         # one skein evaluation per braid word: a knot's only component word
         # is the record's own word
         self._polys: dict[BraidWord, LaurentPoly2] = {}
+        # one Seifert reduction per braid word, shared by the rows of a run
+        self._seifert = seifert
         self.search = None
 
     def _cycle_linking(self) -> list[list[int]]:
@@ -201,6 +201,12 @@ class _Row:
             self._polys[w] = homfly_braid(w, self.skein_budget)
         return self._polys[w]
 
+    def seifert_of(self, w: BraidWord) -> tuple[int, int, int]:
+        """(signature, nullity, determinant) of the closure of ``w``."""
+        if w not in self._seifert:
+            self._seifert[w] = seifert_invariants(w)
+        return self._seifert[w]
+
     @property
     def poly(self) -> LaurentPoly2:
         return self.poly_of(self.word)
@@ -222,10 +228,8 @@ class _Row:
             total = sum(self.lk[k][j] for j in range(self.mu) if j != k)
             if total != 0:
                 continue
-            sig, _ = signature_and_nullity(w)
-            if sig != 0:
-                continue
-            if _is_square(determinant_of_closure(w)):
+            sig, _, det = self.seifert_of(w)
+            if sig == 0 and _is_square(det):
                 eligible += 1
         return eligible, knotted
 
@@ -441,7 +445,9 @@ def verify_certificates(records: list[LinkRecord]) -> list[str]:
 def _seed_chi(row: _Row, search_budget: int):
     rec = row.rec
     row.s_lo.note(frozenset(), bennequin_chi(row.word), "banded surface of the given word")
-    row.s_hi.note(frozenset(), murasugi_chi_upper(row.word), "signature bound")
+    sig, nul, _ = row.seifert_of(row.word)
+    # Murasugi: chi_s <= 1 - |signature| + nullity
+    row.s_hi.note(frozenset(), 1 - abs(sig) + nul, "signature bound")
     eligible, knotted = row.disk_census()
     tag = frozenset("g") if (row.mu >= 2 and knotted) else frozenset()
     row.s_hi.note(tag, eligible, "at most %d components can bound disks" % eligible)
@@ -629,7 +635,8 @@ def apply_rules(
     failures = verify_certificates(records)
     if failures:
         raise ClassifyError("certificate verification failed:\n  " + "\n  ".join(failures))
-    rows = {r.name: _Row(r, skein_budget) for r in records}
+    seifert: dict[BraidWord, tuple[int, int, int]] = {}
+    rows = {r.name: _Row(r, skein_budget, seifert) for r in records}
     for row in rows.values():
         _seed_chi(row, search_budget)
     for _ in range(200):

@@ -252,7 +252,7 @@ def _option(flag: str, **kw) -> argparse.ArgumentParser:
 def build_parser() -> argparse.ArgumentParser:
     machine = _option("--machine", action="store_true", help="key=value output")
     skein = _option("--skein-budget", type=int, default=1 << 20, dest="skein_budget",
-                    help="node cap for skein recursion")
+                    help="crossings charged per expanded skein node")
     search = _option("--search-budget", type=int, default=100000, dest="search_budget",
                      help="node cap for the chi search")
     seed = _option("--seed", type=int, default=0, help="projection chart seed")

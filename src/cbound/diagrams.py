@@ -59,16 +59,16 @@ def walk_components(crossings: list[Crossing]) -> list[list[int]]:
     if set(succ) != tails:
         raise DiagramError("every arc needs one head and one tail")
     comps = []
-    seen: set[int] = set()
+    # ``tails`` now doubles as the set of arcs not yet walked
     for start in sorted(succ):
-        if start in seen:
+        if start not in tails:
             continue
         cyc = [start]
-        seen.add(start)
+        tails.remove(start)
         a = succ[start]
         while a != start:
             cyc.append(a)
-            seen.add(a)
+            tails.remove(a)
             a = succ[a]
         comps.append(cyc)
     return comps
@@ -293,17 +293,12 @@ def remove_crossings(d: Diagram, kill: set[int], joins: list[tuple[int, int]]) -
         ra, rb = find(a), find(b)
         if ra != rb:
             parent[max(ra, rb)] = min(ra, rb)
-    survivors = [c for t, c in enumerate(d.crossings) if t not in kill]
-    relabeled = [tuple(find(a) for a in c[:4]) + (c[4],) for c in survivors]
-    present = set()
-    for c in relabeled:
-        present.update(c[:4])
-    extinct = set()
-    for t in kill:
-        for a in d.crossings[t][:4]:
-            r = find(a)
-            if r not in present:
-                extinct.add(r)
+    rep = {a: find(a) for a in parent}
+    get = rep.get
+    relabeled = [(get(ui, ui), get(uo, uo), get(oi, oi), get(oo, oo), s)
+                 for t, (ui, uo, oi, oo, s) in enumerate(d.crossings) if t not in kill]
+    present = {a for c in relabeled for a in c[:4]}
+    extinct = {get(a, a) for t in kill for a in d.crossings[t][:4]} - present
     comps = walk_components(relabeled)
     return Diagram(relabeled, comps, d.free_loops + len(extinct))
 
@@ -332,28 +327,27 @@ def simplify_diagram(d: Diagram) -> Diagram:
             continue
         # clasp pairs: two crossings of opposite sign joined by an arc in the
         # over slots and an arc in the under slots (same strand on top twice);
-        # both connecting arcs are absorbed into the strands that pass through
-        m = len(cur.crossings)
-        for t1 in range(m):
-            if changed:
-                break
-            ui1, uo1, oi1, oo1, s1 = cur.crossings[t1]
-            for t2 in range(m):
-                if t1 == t2:
-                    continue
-                ui2, uo2, oi2, oo2, s2 = cur.crossings[t2]
-                if s1 + s2 != 0 or oo1 != oi2:
-                    continue
-                joins = [(oi1, oo1), (oo1, oo2)]
-                if uo1 == ui2:
-                    joins += [(ui1, uo1), (uo1, uo2)]
-                elif uo2 == ui1:
-                    joins += [(ui2, uo2), (uo2, uo1)]
-                else:
-                    continue
-                cur = remove_crossings(cur, {t1, t2}, joins)
-                changed = True
-                break
+        # both connecting arcs are absorbed into the strands that pass through.
+        # The partner of t1 is the crossing whose over strand enters on t1's
+        # over-out arc; it is unique because every arc has one head.
+        over_in = {c[2]: t for t, c in enumerate(cur.crossings)}
+        for t1, (ui1, uo1, oi1, oo1, s1) in enumerate(cur.crossings):
+            t2 = over_in.get(oo1)
+            if t2 is None or t2 == t1:
+                continue
+            ui2, uo2, oi2, oo2, s2 = cur.crossings[t2]
+            if s1 + s2 != 0:
+                continue
+            joins = [(oi1, oo1), (oo1, oo2)]
+            if uo1 == ui2:
+                joins += [(ui1, uo1), (uo1, uo2)]
+            elif uo2 == ui1:
+                joins += [(ui2, uo2), (uo2, uo1)]
+            else:
+                continue
+            cur = remove_crossings(cur, {t1, t2}, joins)
+            changed = True
+            break
     return cur
 
 

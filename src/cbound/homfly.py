@@ -1,23 +1,32 @@
-"""HOMFLY polynomial via the descending-diagram skein recursion.
+"""HOMFLY polynomial via a memoized descending-diagram skein evaluation.
 
 Normalization: the unknot has polynomial 1 and the skein relation is
 
     P(positive crossing) = v*z * P(smoothed) + v^2 * P(switched)
 
-so a split unlink of m circles evaluates to ((1/v - v)/z)^(m-1).  The
-recursion walks every component from its smallest arc, switches or
-smooths the first crossing met on an under-strand first, and terminates
-on descending diagrams, which close up into unlinks.
+so a split unlink of m circles evaluates to ((1/v - v)/z)^(m-1).
+
+Every node of the skein tree is first cleaned of kinks and cancelling
+clasps (``simplify_diagram``) and then relabelled canonically, which keys a
+memo that belongs to one ``homfly`` call: a subdiagram reached twice is
+evaluated once.  A node walks every component from its smallest arc and
+switches or smooths the first crossing met on an under-strand first;
+descending diagrams close up into unlinks.  The tree is walked with an
+explicit stack, so deep trees need no Python recursion.
+
+``budget`` is counted in crossings: each expanded node charges its crossing
+count (at least 1) and memo hits are free, so it bounds the work done.
 """
 
 from __future__ import annotations
 
 from .braids import BraidWord
-from .diagrams import Diagram, from_braid, remove_crossings, simplify_diagram
+from .diagrams import Crossing, Diagram, from_braid, remove_crossings, simplify_diagram
 
 
 class BudgetExceeded(RuntimeError):
-    """Raised when the skein recursion outgrows its node budget."""
+    """Raised when the skein evaluation charges more crossings than its
+    budget allows."""
 
 
 class LaurentPoly2:
@@ -121,58 +130,92 @@ UNLINK_FACTOR = LaurentPoly2({(-1, -1): 1, (1, -1): -1})
 
 ONE = LaurentPoly2.const(1)
 
-_V2 = LaurentPoly2.monomial(1, 2, 0)
-_VZ = LaurentPoly2.monomial(1, 1, 1)
-_VM2 = LaurentPoly2.monomial(1, -2, 0)
-_VM1Z = LaurentPoly2.monomial(1, -1, 1)
+
+Key = tuple[tuple[Crossing, ...], tuple[int, ...], int]
 
 
-def _first_bad_crossing(diag: Diagram) -> int | None:
-    """Index of the first crossing that the canonical walk enters on the
-    under strand before having visited it on the over strand."""
-    inmap: dict[int, tuple[int, str]] = {}
-    for t, (ui, uo, oi, oo, s) in enumerate(diag.crossings):
-        inmap[ui] = (t, "u")
-        inmap[oi] = (t, "o")
-    visited: set[int] = set()
-    for comp in diag.components:
+def _canonical(d: Diagram) -> Key:
+    """Memo key of a diagram: arcs renumbered from 1 in walk order (the
+    components in their listed order, each from its smallest arc), then the
+    sorted crossings, the component lengths and the free loops.
+
+    Arcs of one component get consecutive numbers, so the key rebuilds the
+    relabelled diagram (``_diagram_of``)."""
+    label: dict[int, int] = {}
+    for comp in d.components:
         lo = comp.index(min(comp))
         for a in comp[lo:] + comp[:lo]:
-            t, role = inmap[a]
-            if t in visited:
-                continue
-            visited.add(t)
-            if role == "u":
-                return t
-    return None
+            label[a] = len(label) + 1
+    crossings = sorted([(label[ui], label[uo], label[oi], label[oo], s) for ui, uo, oi, oo, s in d.crossings])
+    return tuple(crossings), tuple(len(c) for c in d.components), d.free_loops
+
+
+def _diagram_of(key: Key) -> Diagram:
+    crossings, lengths, free = key
+    comps, start = [], 1
+    for n in lengths:
+        comps.append(list(range(start, start + n)))
+        start += n
+    return Diagram(list(crossings), comps, free)
+
+
+def _node(d: Diagram) -> Key:
+    return _canonical(simplify_diagram(d))
 
 
 def homfly(diag: Diagram, budget: int = 1 << 20) -> LaurentPoly2:
     """HOMFLY polynomial of an oriented diagram.
 
-    ``budget`` caps the number of skein tree nodes; BudgetExceeded is
-    raised beyond it.
+    Every node expanded charges its crossing count (at least 1) against
+    ``budget``; memo hits are free.  BudgetExceeded is raised once the
+    charge passes the budget.
     """
-    nodes = 0
-
-    def rec(d: Diagram) -> LaurentPoly2:
-        nonlocal nodes
-        nodes += 1
-        if nodes > budget:
-            raise BudgetExceeded("skein recursion exceeded %d nodes" % budget)
-        t = _first_bad_crossing(d)
+    memo: dict[Key, LaurentPoly2] = {}
+    pending: dict[Key, tuple[int, Key, Key]] = {}
+    charged = expanded = hits = 0
+    root = _node(diag)
+    stack = [root]
+    while stack:
+        key = stack[-1]
+        if key in memo:
+            stack.pop()
+            hits += 1
+            continue
+        if key in pending:
+            s, switched, smoothed = pending.pop(key)
+            if s > 0:
+                memo[key] = memo[switched].shift(2, 0) + memo[smoothed].shift(1, 1)
+            else:
+                memo[key] = memo[switched].shift(-2, 0) - memo[smoothed].shift(-1, 1)
+            stack.pop()
+            continue
+        crossings, lengths, free = key
+        charged += max(1, len(crossings))
+        if charged > budget:
+            raise BudgetExceeded(
+                "skein budget of %d crossings ran out after %d nodes expanded and %d memo hits"
+                % (budget, expanded, hits)
+            )
+        expanded += 1
+        # arcs are numbered in walk order, so the walk meets a crossing first
+        # at the smaller of its two in-arcs; the crossings are sorted by
+        # under-in arc, so the first one met on its under strand is the
+        # first whose under-in arc comes before its over-in arc
+        t = next((t for t, c in enumerate(crossings) if c[0] < c[2]), None)
         if t is None:
-            return UNLINK_FACTOR ** (d.total_components - 1)
-        ui, uo, oi, oo, s = d.crossings[t]
-        switched_crossings = list(d.crossings)
-        switched_crossings[t] = (oi, oo, ui, uo, -s)
-        switched = Diagram(switched_crossings, [list(c) for c in d.components], d.free_loops)
-        smoothed = remove_crossings(d, {t}, [(ui, oo), (oi, uo)])
-        if s > 0:
-            return _V2 * rec(switched) + _VZ * rec(smoothed)
-        return _VM2 * rec(switched) - _VM1Z * rec(smoothed)
-
-    return rec(diag)
+            # descending diagrams close up into unlinks
+            memo[key] = unlink_poly(len(lengths) + free)
+            stack.pop()
+            continue
+        d = _diagram_of(key)
+        ui, uo, oi, oo, s = crossings[t]
+        d.crossings[t] = (oi, oo, ui, uo, -s)
+        switched = _node(d)
+        d.crossings[t] = crossings[t]
+        smoothed = _node(remove_crossings(d, {t}, [(ui, oo), (oi, uo)]))
+        pending[key] = (s, switched, smoothed)
+        stack += (switched, smoothed)
+    return memo[root]
 
 
 def homfly_braid(b: BraidWord, budget: int = 1 << 20) -> LaurentPoly2:
@@ -180,8 +223,9 @@ def homfly_braid(b: BraidWord, budget: int = 1 << 20) -> LaurentPoly2:
 
 
 def homfly_pd(diag: Diagram, budget: int = 1 << 20) -> LaurentPoly2:
-    """HOMFLY of a possibly large diagram, after kink/clasp cleanup."""
-    return homfly(simplify_diagram(diag), budget)
+    """Same as ``homfly``, which already removes kinks and clasps at every
+    node of the skein tree."""
+    return homfly(diag, budget)
 
 
 def unlink_poly(components: int) -> LaurentPoly2:

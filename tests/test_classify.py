@@ -130,6 +130,23 @@ def test_full_kb_is_clean(fixtures_dir):
     assert "29 rows, 0 mismatches" in text
 
 
+def test_one_seifert_reduction_per_word_per_run(fixtures_dir, monkeypatch):
+    import cbound.braids
+
+    reduced = []
+    real = cbound.braids._seifert_reduction
+
+    def counting(b):
+        reduced.append(b)
+        return real(b)
+
+    monkeypatch.setattr(cbound.braids, "_seifert_reduction", counting)
+    recs = parse_kb((fixtures_dir / "table1.kb").read_text())
+    apply_rules(recs)
+    assert len(reduced) == len(set(reduced)) == 32
+    assert {r.braid for r in recs} <= set(reduced)
+
+
 def test_axiom_audit_attributes_every_axiom(fixtures_dir):
     recs = parse_kb((fixtures_dir / "table1.kb").read_text())
     led = apply_rules(recs)

@@ -2,8 +2,10 @@
 
 import os
 import pathlib
+import random
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -188,7 +190,43 @@ def test_chi_stops_before_the_search_when_a_knot_exceeds_the_skein_budget(capsys
     code, out, err = run(capsys, "chi", "BR[2,{1,1,1}]", "--skein-budget", "3")
     assert code == 2
     assert out == ""
-    assert "skein recursion exceeded 3 nodes" in err
+    assert "skein budget of 3 crossings ran out" in err
+
+
+def _braid_arg(strands, letters):
+    return "BR[%d,{%s}]" % (strands, ",".join(str(x) for x in letters))
+
+
+def test_homfly_on_a_1199_crossing_unknot_needs_no_recursion(capsys):
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "homfly", _braid_arg(1200, range(1, 1200)))
+    assert time.perf_counter() - t0 < 30.0
+    assert (code, out, err) == (0, "P = 1\nord_v = 0\n", "")
+
+
+def test_homfly_on_a_huge_torus_knot_ends_in_a_documented_exit_code():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "cbound.cli", "homfly", _braid_arg(2, [1] * 1501)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode in (0, 2), proc.stderr
+    assert "Traceback" not in proc.stderr
+    if proc.returncode == 2:
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("budget exceeded: skein budget of 1048576 crossings ran out")
+
+
+def test_skein_budget_bounds_the_time_of_a_200_crossing_word(capsys):
+    rng = random.Random(5)
+    letters = []
+    while len(letters) < 200:
+        x = rng.choice((1, -1)) * rng.randint(1, 3)
+        if not letters or letters[-1] != -x:
+            letters.append(x)
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "homfly", _braid_arg(4, letters), "--skein-budget", "20000")
+    assert time.perf_counter() - t0 < 2.0
+    assert code == 2 and out == ""
+    assert "nodes expanded" in err and "memo hits" in err
 
 
 @pytest.mark.parametrize("argv, code", [

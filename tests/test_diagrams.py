@@ -1,15 +1,20 @@
 """Planar diagrams: construction, linking matrices, sums, sublinks."""
 
+import random
+
 from cbound.braids import BraidWord
 from cbound.diagrams import (
+    Diagram,
     disjoint_sum,
     from_braid,
     from_pd,
     linking_matrix,
     mirror_diagram,
     pd_tuples,
+    remove_crossings,
     reverse_component,
     simplify_diagram,
+    walk_components,
     zero_linking_sublinks,
 )
 from cbound.notation import parse_pd
@@ -100,3 +105,135 @@ def test_simplify_removes_reducible_kinks():
     s = simplify_diagram(d)
     assert len(s.crossings) < len(d.crossings)
     assert s.total_components == 2
+
+
+# -- reference cleanup: the quadratic clasp search, kept as the oracle -------
+
+
+def reference_walk_components(crossings):
+    succ = {}
+    for ui, uo, oi, oo, _ in crossings:
+        succ[ui] = uo
+        succ[oi] = oo
+    comps, seen = [], set()
+    for start in sorted(succ):
+        if start in seen:
+            continue
+        cyc = [start]
+        seen.add(start)
+        a = succ[start]
+        while a != start:
+            cyc.append(a)
+            seen.add(a)
+            a = succ[a]
+        comps.append(cyc)
+    return comps
+
+
+def reference_remove_crossings(d, kill, joins):
+    parent = {}
+
+    def find(a):
+        parent.setdefault(a, a)
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for a, b in joins:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[max(ra, rb)] = min(ra, rb)
+    survivors = [c for t, c in enumerate(d.crossings) if t not in kill]
+    relabeled = [tuple(find(a) for a in c[:4]) + (c[4],) for c in survivors]
+    present = set()
+    for c in relabeled:
+        present.update(c[:4])
+    extinct = set()
+    for t in kill:
+        for a in d.crossings[t][:4]:
+            r = find(a)
+            if r not in present:
+                extinct.add(r)
+    return Diagram(relabeled, reference_walk_components(relabeled), d.free_loops + len(extinct))
+
+
+def reference_simplify_diagram(d):
+    cur = d.copy()
+    changed = True
+    while changed:
+        changed = False
+        for t, (ui, uo, oi, oo, s) in enumerate(cur.crossings):
+            if ui == oo:
+                cur = reference_remove_crossings(cur, {t}, [(oi, ui), (ui, uo)])
+                changed = True
+                break
+            if uo == oi:
+                cur = reference_remove_crossings(cur, {t}, [(ui, uo), (uo, oo)])
+                changed = True
+                break
+        if changed:
+            continue
+        m = len(cur.crossings)
+        for t1 in range(m):
+            if changed:
+                break
+            ui1, uo1, oi1, oo1, s1 = cur.crossings[t1]
+            for t2 in range(m):
+                if t1 == t2:
+                    continue
+                ui2, uo2, oi2, oo2, s2 = cur.crossings[t2]
+                if s1 + s2 != 0 or oo1 != oi2:
+                    continue
+                joins = [(oi1, oo1), (oo1, oo2)]
+                if uo1 == ui2:
+                    joins += [(ui1, uo1), (uo1, uo2)]
+                elif uo2 == ui1:
+                    joins += [(ui2, uo2), (uo2, uo1)]
+                else:
+                    continue
+                cur = reference_remove_crossings(cur, {t1, t2}, joins)
+                changed = True
+                break
+    return cur
+
+
+def _fields(d):
+    return d.crossings, d.components, d.free_loops
+
+
+def _seeded_words(seed, count, max_strands, max_letters):
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(2, max_strands)
+        yield BraidWord(n, tuple(rng.choice((1, -1)) * rng.randint(1, n - 1)
+                                 for _ in range(rng.randint(0, max_letters))))
+
+
+def test_simplify_matches_quadratic_reference():
+    shrunk = 0
+    for b in _seeded_words(2024, 3000, 5, 16):
+        for d in (from_braid(b), reverse_component(from_braid(b), 0)):
+            got = simplify_diagram(d)
+            assert _fields(got) == _fields(reference_simplify_diagram(d)), b
+            shrunk += len(got.crossings) < len(d.crossings)
+    # most draws carry a kink or a clasp, so both move kinds are exercised
+    assert shrunk > 3000
+
+
+def test_remove_crossings_matches_reference_on_smoothings():
+    rng = random.Random(5)
+    for b in _seeded_words(7, 600, 4, 12):
+        d = from_braid(b)
+        if not d.crossings:
+            continue
+        t = rng.randrange(len(d.crossings))
+        ui, uo, oi, oo, _ = d.crossings[t]
+        joins = [(ui, oo), (oi, uo)]
+        assert _fields(remove_crossings(d, {t}, joins)) == _fields(reference_remove_crossings(d, {t}, joins)), b
+
+
+def test_walk_components_matches_reference():
+    for b in _seeded_words(11, 300, 5, 14):
+        d = from_braid(b)
+        assert walk_components(d.crossings) == reference_walk_components(d.crossings)

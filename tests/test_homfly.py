@@ -1,19 +1,24 @@
 """Skein polynomial: known values, the defining relation, obstructions."""
 
 import random
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cbound.braids import BraidWord, determinant_of_closure, mirror
-from cbound.diagrams import from_braid, mirror_diagram
+from cbound.diagrams import Diagram, from_braid, mirror_diagram, remove_crossings, reverse_component
 from cbound.homfly import (
     ONE,
+    UNLINK_FACTOR,
     BudgetExceeded,
     LaurentPoly2,
     determinant_from_poly,
     fwm_obstruction,
     homfly,
     homfly_braid,
+    homfly_pd,
     unlink_poly,
 )
 from cbound.notation import parse_poly
@@ -131,3 +136,115 @@ def test_poly_arithmetic_basics():
     assert p.mirror_image().mirror_image() == p
     assert parse_poly("v^2 - z") == p
     assert p.ord_v == 0
+
+
+# -- reference engine: the plain recursion without cleanup or memo ----------
+
+
+def _reference_first_bad_crossing(diag):
+    inmap = {}
+    for t, (ui, uo, oi, oo, s) in enumerate(diag.crossings):
+        inmap[ui] = (t, "u")
+        inmap[oi] = (t, "o")
+    visited = set()
+    for comp in diag.components:
+        lo = comp.index(min(comp))
+        for a in comp[lo:] + comp[:lo]:
+            t, role = inmap[a]
+            if t in visited:
+                continue
+            visited.add(t)
+            if role == "u":
+                return t
+    return None
+
+
+def reference_homfly(d):
+    """The descending-diagram recursion on the raw diagram: every node is
+    switched or smoothed at its first bad crossing, nothing is simplified
+    and nothing is shared."""
+    t = _reference_first_bad_crossing(d)
+    if t is None:
+        return UNLINK_FACTOR ** (d.total_components - 1)
+    ui, uo, oi, oo, s = d.crossings[t]
+    switched_crossings = list(d.crossings)
+    switched_crossings[t] = (oi, oo, ui, uo, -s)
+    switched = Diagram(switched_crossings, [list(c) for c in d.components], d.free_loops)
+    smoothed = remove_crossings(d, {t}, [(ui, oo), (oi, uo)])
+    if s > 0:
+        return (LaurentPoly2.monomial(1, 2, 0) * reference_homfly(switched)
+                + LaurentPoly2.monomial(1, 1, 1) * reference_homfly(smoothed))
+    return (LaurentPoly2.monomial(1, -2, 0) * reference_homfly(switched)
+            - LaurentPoly2.monomial(1, -1, 1) * reference_homfly(smoothed))
+
+
+def _diagrams_of(b):
+    """The closure, its mirror, and the closure with its last component
+    reversed, a diagram that is not drawn as a braid closure."""
+    d = from_braid(b)
+    out = [d, mirror_diagram(d)]
+    if d.components:
+        out.append(reverse_component(d, len(d.components) - 1))
+    return out
+
+
+@st.composite
+def braid_words(draw, max_strands=4, max_letters=10):
+    n = draw(st.integers(2, max_strands))
+    gens = st.integers(1, n - 1).flatmap(lambda i: st.sampled_from((i, -i)))
+    return BraidWord(n, tuple(draw(st.lists(gens, max_size=max_letters))))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(braid_words())
+def test_memoized_engine_matches_reference_on_drawn_words(b):
+    for d in _diagrams_of(b):
+        assert homfly(d) == reference_homfly(d), b
+
+
+def test_memoized_engine_matches_reference_on_seeded_words():
+    rng = random.Random(31)
+    for _ in range(300):
+        n = rng.randint(2, 4)
+        b = BraidWord(n, tuple(rng.choice((1, -1)) * rng.randint(1, n - 1) for _ in range(rng.randint(0, 12))))
+        assert homfly_braid(b) == reference_homfly(from_braid(b)), b
+
+
+def test_homfly_does_not_change_its_input():
+    d = from_braid(BraidWord(3, (1, -2, 1, -1, 2, 2)))
+    before = (list(d.crossings), [list(c) for c in d.components], d.free_loops)
+    homfly(d)
+    assert (d.crossings, d.components, d.free_loops) == before
+    assert homfly_pd(d) == homfly(d)
+
+
+def test_long_unknot_closures_are_one():
+    t0 = time.perf_counter()
+    for n in range(2, 100):
+        assert homfly_braid(BraidWord(n, tuple(range(1, n)))) == ONE, n
+    assert time.perf_counter() - t0 < 10.0
+
+
+def test_two_strand_torus_links_follow_the_skein_recurrence():
+    # P(T(2,n)) = v^2 P(T(2,n-2)) + v z P(T(2,n-1)), from the last crossing
+    v2, vz = LaurentPoly2.monomial(1, 2, 0), LaurentPoly2.monomial(1, 1, 1)
+    want = [unlink_poly(2), ONE]
+    for n in range(2, 42):
+        want.append(v2 * want[n - 2] + vz * want[n - 1])
+    t0 = time.perf_counter()
+    for n in range(1, 42):
+        assert homfly_braid(BraidWord(2, (1,) * n)) == want[n], n
+        assert homfly_braid(BraidWord(2, (-1,) * n)) == want[n].mirror_image(), n
+    assert time.perf_counter() - t0 < 10.0
+
+
+def test_budget_counts_crossings_per_expanded_node():
+    # the trefoil (3 crossings) smooths into the Hopf link (2), which
+    # expands into the unknot and the 2-component unlink (1 each); the
+    # trefoil's switched child cleans up into the unknot, a memo hit
+    trefoil = BraidWord(2, (1, 1, 1))
+    assert homfly_braid(trefoil, budget=7) == homfly_braid(trefoil)
+    with pytest.raises(BudgetExceeded) as exc:
+        homfly_braid(trefoil, budget=6)
+    assert str(exc.value) == "skein budget of 6 crossings ran out after 3 nodes expanded and 0 memo hits"
+
