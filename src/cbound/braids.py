@@ -369,12 +369,19 @@ def chi_minus_lower_bound(b: BraidWord, budget: int = 100000) -> ChiSearchResult
     length l on n strands realizes n - l exactly.  A best-first search on
     word length therefore yields sound bounds; ``witness`` lists the move
     sequence reaching the best terminal found.
+
+    The search stops as soon as its best score equals the component count
+    mu of the closure, a ceiling no surface can beat (each piece of a
+    surface has Euler characteristic at most its number of boundary
+    components), so ``truncated`` is false there.  The stop cannot change
+    the score or the witness: the best terminal is replaced only by a
+    strictly greater score, and nothing scores above mu; only ``explored``
+    falls.
     """
     start = reduce_word(b)
     start_key = (start.strands, start.letters)
-    heap: list[tuple[int, int, tuple[int, ...], int]] = []
+    ceiling = component_count(start)
     counter = itertools.count()
-    heapq.heappush(heap, (len(start.letters), next(counter), start.letters, start.strands))
     # visited set is word-level: braid-relation and commutation rewrites fix
     # the group element but change which flips and cancellations exist, so
     # collapsing nodes by normal form would cut off required simplifications
@@ -384,6 +391,10 @@ def chi_minus_lower_bound(b: BraidWord, budget: int = 100000) -> ChiSearchResult
     if start.is_positive():
         best_score = start.strands - len(start.letters)
         best_key = start_key
+    # reaching the ceiling empties the frontier, which ends the search
+    heap: list[tuple[int, int, tuple[int, ...], int]] = []
+    if best_score != ceiling:
+        heap.append((len(start.letters), next(counter), start.letters, start.strands))
     explored = 0
     truncated = False
     while heap:
@@ -404,6 +415,9 @@ def chi_minus_lower_bound(b: BraidWord, budget: int = 100000) -> ChiSearchResult
                 if best_score is None or score > best_score:
                     best_score = score
                     best_key = nkey
+                    if score == ceiling:
+                        heap.clear()
+                        break
             heapq.heappush(heap, (len(nw), next(counter), nw, ns))
     if best_score is None:
         # fall back on flipping every remaining negative letter at once; a
@@ -419,6 +433,32 @@ def chi_minus_lower_bound(b: BraidWord, budget: int = 100000) -> ChiSearchResult
     if b.letters != start.letters:
         path.insert(0, ("reduce", start))
     return ChiSearchResult(best_score, path, truncated, explored)
+
+
+def verify_witness(start: BraidWord, result: ChiSearchResult) -> None:
+    """Replay the witness of ``chi_minus_lower_bound(start)``; raise
+    BraidError unless it proves ``result.score``.
+
+    Every step must be one of the ``_neighbors`` moves of the word before it,
+    under the same move name; a leading ``reduce`` is the free reduction of
+    ``start``.  The last word must be positive with n - l equal to the score.
+    An empty witness stands for the start itself, freely reduced; a
+    truncated search that found no positive word returns that word's n - l,
+    the bound of flipping every negative letter at once.
+    """
+    strands, word = start.strands, start.letters
+    for k, (move, w) in enumerate(result.witness):
+        if (move, w.strands, w.letters) not in set(_neighbors(word, strands)):
+            raise BraidError("witness step %d is not a %s move of the word before it" % (k, move))
+        strands, word = w.strands, w.letters
+    if not result.witness:
+        word = _free_reduce(word)
+        if not (result.truncated or all(x > 0 for x in word)):
+            raise BraidError("empty witness but the start word is not positive")
+    elif not all(x > 0 for x in word):
+        raise BraidError("the last witness word is not positive")
+    if strands - len(word) != result.score:
+        raise BraidError("witness realizes %d, not the score %d" % (strands - len(word), result.score))
 
 
 # -- Seifert form of the banded surface --------------------------------------

@@ -13,7 +13,9 @@ import math
 from dataclasses import dataclass, field, replace
 
 from .braids import (
+    BraidError,
     BraidWord,
+    ChiSearchResult,
     QPFactorization,
     bennequin_chi,
     braid_equal,
@@ -24,6 +26,7 @@ from .braids import (
     qp_chi,
     seifert_invariants,
     sub_braid,
+    verify_witness,
 )
 from .diagrams import zero_linking_sublinks
 from .homfly import LaurentPoly2, homfly_braid, unlink_poly, fwm_obstruction
@@ -101,8 +104,7 @@ class RowResult:
     chi: ChiBounds
     cells: dict[str, CellResult]
     chi_sources: dict[str, dict[frozenset, tuple[int, str]]]
-    search_witness: list
-    search_truncated: bool
+    search: ChiSearchResult
     poly: LaurentPoly2
 
 
@@ -158,7 +160,13 @@ def _is_square(n: int) -> bool:
 class _Row:
     """Working state for one record: cached invariants plus bound tables."""
 
-    def __init__(self, rec: LinkRecord, skein_budget: int, seifert: dict[BraidWord, tuple[int, int, int]]):
+    def __init__(
+        self,
+        rec: LinkRecord,
+        skein_budget: int,
+        polys: dict[BraidWord, LaurentPoly2],
+        seifert: dict[BraidWord, tuple[int, int, int]],
+    ):
         self.rec = rec
         self.word = rec.braid
         self.skein_budget = skein_budget
@@ -171,10 +179,10 @@ class _Row:
         self.m_lo = _Bound("lo", self.mu)
         self.m_hi = _Bound("hi", self.mu)
         self.derivs: dict[str, dict[tuple[str, frozenset], Derivation]] = {c: {} for c in CLASSES}
-        # one skein evaluation per braid word: a knot's only component word
-        # is the record's own word
-        self._polys: dict[BraidWord, LaurentPoly2] = {}
-        # one Seifert reduction per braid word, shared by the rows of a run
+        # one skein evaluation and one Seifert reduction per braid word,
+        # shared by the rows of a run: a knot's only component word is the
+        # record's own word, and a trefoil component recurs in several links
+        self._polys = polys
         self._seifert = seifert
         self.search = None
 
@@ -452,6 +460,10 @@ def _seed_chi(row: _Row, search_budget: int):
     tag = frozenset("g") if (row.mu >= 2 and knotted) else frozenset()
     row.s_hi.note(tag, eligible, "at most %d components can bound disks" % eligible)
     row.search = chi_minus_lower_bound(row.word, search_budget)
+    try:
+        verify_witness(row.word, row.search)
+    except BraidError as e:
+        raise ClassifyError("chi search witness for %s does not replay: %s" % (rec.name, e)) from None
     row.m_lo.note(frozenset(), row.search.score, "switch-and-reduce search")
     row.m_hi.note(frozenset(), row.mu, "component count cap")
     if rec.certificate is not None:
@@ -635,8 +647,9 @@ def apply_rules(
     failures = verify_certificates(records)
     if failures:
         raise ClassifyError("certificate verification failed:\n  " + "\n  ".join(failures))
+    polys: dict[BraidWord, LaurentPoly2] = {}
     seifert: dict[BraidWord, tuple[int, int, int]] = {}
-    rows = {r.name: _Row(r, skein_budget, seifert) for r in records}
+    rows = {r.name: _Row(r, skein_budget, polys, seifert) for r in records}
     for row in rows.values():
         _seed_chi(row, search_budget)
     for _ in range(200):
@@ -665,7 +678,7 @@ def apply_rules(
             "chi_s_minus.lo": dict(row.m_lo.data),
             "chi_s_minus.hi": dict(row.m_hi.data),
         }
-        out[name] = RowResult(name, chi, cells, sources, row.search.witness, row.search.truncated, row.poly)
+        out[name] = RowResult(name, chi, cells, sources, row.search, row.poly)
     _check_chain(out)
     return Ledger(out)
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .braids import BraidError
+from .braids import BraidError, component_count
 from .classify import (
     ClassifyError,
     LinkRecord,
@@ -95,9 +95,9 @@ def cmd_chi(args) -> int:
         print("chi_s.hi=%d" % shi)
         print("chi_s_minus.lo=%d" % mlo)
         print("chi_s_minus.hi=%d" % mhi)
-        for i, (move, word) in enumerate(row.search_witness):
+        for i, (move, word) in enumerate(row.search.witness):
             print("witness.%d=%s %s" % (i, move, render_braid(word)))
-        print("search.truncated=%s" % ("yes" if row.search_truncated else "no"))
+        print("search.truncated=%s" % ("yes" if row.search.truncated else "no"))
     else:
         print("chi_s in [%d, %d]" % (slo, shi))
         print("chi_s^- in [%d, %d]" % (mlo, mhi))
@@ -105,13 +105,18 @@ def cmd_chi(args) -> int:
             for side, cmp_ in (("lo", ">="), ("hi", "<=")):
                 for tags, (v, why) in sorted(row.chi_sources["%s.%s" % (key, side)].items(), key=lambda t: sorted(t[0])):
                     print("  %s %s %d  (%s)" % (label, cmp_, v, why))
-        if row.search_witness:
+        if row.search.witness:
             print("witness path:")
             print("  start %s" % render_braid(b))
-            for move, word in row.search_witness:
+            for move, word in row.search.witness:
                 print("  %s -> %s" % (move, render_braid(word)))
-    if row.search_truncated:
-        print("warning: search budget hit, lower bound may be slack", file=sys.stderr)
+    if row.search.truncated:
+        print(
+            "warning: search budget of %d nodes ran out after %d explored, at chi_s^- >= %d (ceiling %d); "
+            "lower bound may be slack"
+            % (args.search_budget, row.search.explored, row.search.score, component_count(b)),
+            file=sys.stderr,
+        )
     return 0
 
 

@@ -1,7 +1,10 @@
 """Braid word operations, closure invariants, and the chi search."""
 
+import heapq
+import itertools
 import json
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -9,7 +12,9 @@ import pytest
 from cbound.braids import (
     BraidError,
     BraidWord,
+    ChiSearchResult,
     QPFactorization,
+    _neighbors,
     bennequin_chi,
     braid_equal,
     chi_minus_lower_bound,
@@ -30,6 +35,7 @@ from cbound.braids import (
     signature_and_nullity,
     split_sum_word,
     sub_braid,
+    verify_witness,
 )
 from cbound.notation import parse_braid, render_braid
 
@@ -274,7 +280,14 @@ def test_seifert_invariants_match_two_path_reference():
 # -- the chi search against results pinned before the tuple rewrite ----------
 
 
+def rendered(r):
+    return ["%s %s" % (move, render_braid(w)) for move, w in r.witness]
+
+
 def test_chi_search_matches_pinned_results(fixtures_dir):
+    # score and witness were pinned before the tuple rewrite; explored and
+    # truncated were re-pinned when the search learned to stop at the
+    # component count, which only lowers explored and clears truncated
     pinned = json.loads((fixtures_dir / "chi_search.json").read_text())
     for case in pinned["cases"]:
         r = chi_minus_lower_bound(parse_braid(case["word"]), pinned["budget"])
@@ -283,6 +296,130 @@ def test_chi_search_matches_pinned_results(fixtures_dir):
             "score": r.score,
             "truncated": r.truncated,
             "explored": r.explored,
-            "witness": ["%s %s" % (move, render_braid(w)) for move, w in r.witness],
+            "witness": rendered(r),
         }
         assert got == case
+
+
+# -- the chi search against the search without the ceiling stop ---------------
+
+
+def reference_chi_search(b, budget):
+    """The chi search as the program ran it before it stopped at the
+    component count: it explores until its frontier or budget runs out."""
+    start = reduce_word(b)
+    start_key = (start.strands, start.letters)
+    heap = []
+    counter = itertools.count()
+    heapq.heappush(heap, (len(start.letters), next(counter), start.letters, start.strands))
+    parents = {start_key: None}
+    best_score = None
+    best_key = None
+    if start.is_positive():
+        best_score = start.strands - len(start.letters)
+        best_key = start_key
+    explored = 0
+    truncated = False
+    while heap:
+        if explored >= budget:
+            truncated = True
+            break
+        _, _, word, strands = heapq.heappop(heap)
+        explored += 1
+        key = (strands, word)
+        for move, ns, nw in _neighbors(word, strands):
+            nkey = (ns, nw)
+            if nkey in parents:
+                continue
+            parents[nkey] = (key, move)
+            if all(x > 0 for x in nw):
+                score = ns - len(nw)
+                if best_score is None or score > best_score:
+                    best_score = score
+                    best_key = nkey
+            heapq.heappush(heap, (len(nw), next(counter), nw, ns))
+    if best_score is None:
+        return ChiSearchResult(bennequin_chi(start), [], True, explored)
+    path = []
+    key = best_key
+    while parents[key] is not None:
+        pkey, move = parents[key]
+        path.append((move, BraidWord(key[0], key[1])))
+        key = pkey
+    path.reverse()
+    if b.letters != start.letters:
+        path.insert(0, ("reduce", start))
+    return ChiSearchResult(best_score, path, truncated, explored)
+
+
+def assert_matches_reference(b, budget):
+    """Same score and witness; fewer or as many nodes explored; a truncation
+    may clear only where the score reached the component count."""
+    got, ref = chi_minus_lower_bound(b, budget), reference_chi_search(b, budget)
+    assert (got.score, rendered(got)) == (ref.score, rendered(ref)), b
+    assert got.explored <= ref.explored, b
+    if got.truncated != ref.truncated:
+        assert ref.truncated and got.score == component_count(b), b
+    return got, ref
+
+
+def test_chi_search_matches_reference_on_pinned_words(fixtures_dir):
+    pinned = json.loads((fixtures_dir / "chi_search.json").read_text())
+    for case in pinned["cases"]:
+        got, ref = assert_matches_reference(parse_braid(case["word"]), pinned["budget"])
+        assert (case["score"], case["witness"]) == (ref.score, rendered(ref))
+
+
+def test_chi_search_matches_reference_on_seeded_words():
+    rng = random.Random(6106)
+    cleared = 0
+    for _ in range(300):
+        got, ref = assert_matches_reference(random_word(rng, 5, 14), 5000)
+        cleared += ref.truncated and not got.truncated
+    assert cleared >= 1
+
+
+def test_chi_search_stops_at_the_component_count():
+    # the start word is positive with n - l = mu: nothing to explore
+    r = chi_minus_lower_bound(BraidWord(3, (1, 2)), 0)
+    assert (r.score, r.witness, r.truncated, r.explored) == (1, [], False, 0)
+    # a flip of the first node reaches mu = 1 before the budget runs out
+    r = chi_minus_lower_bound(BraidWord(2, (-1,)), 1)
+    assert (r.score, r.truncated, r.explored) == (1, False, 1)
+    assert reference_chi_search(BraidWord(2, (-1,)), 1).truncated
+
+
+# -- witness replay -------------------------------------------------------------
+
+
+def test_verify_witness_accepts_every_pinned_case(fixtures_dir):
+    pinned = json.loads((fixtures_dir / "chi_search.json").read_text())
+    for case in pinned["cases"]:
+        b = parse_braid(case["word"])
+        verify_witness(b, chi_minus_lower_bound(b, pinned["budget"]))
+
+
+def test_verify_witness_accepts_the_all_flipped_fallback():
+    b = BraidWord(3, (-1, -2, 2, -1, -2))
+    r = chi_minus_lower_bound(b, 1)
+    assert r.truncated and r.witness == [] and r.score == 3 - 3
+    verify_witness(b, r)
+
+
+def test_verify_witness_rejects_tampered_witnesses():
+    b = BraidWord(3, (1, -2, -1, -1, -2))
+    r = chi_minus_lower_bound(b, 100000)
+    assert len(r.witness) >= 3
+    verify_witness(b, r)
+    dropped = replace(r, witness=r.witness[:1] + r.witness[2:])
+    with pytest.raises(BraidError, match="step 1"):
+        verify_witness(b, dropped)
+    (move, w), (move2, w2) = r.witness[:2]
+    swapped = replace(r, witness=[(move2, w), (move, w2)] + r.witness[2:])
+    assert move != move2
+    with pytest.raises(BraidError, match="step 0"):
+        verify_witness(b, swapped)
+    with pytest.raises(BraidError, match="not the score"):
+        verify_witness(b, replace(r, score=r.score + 1))
+    with pytest.raises(BraidError, match="not positive"):
+        verify_witness(b, replace(r, witness=r.witness[:1]))

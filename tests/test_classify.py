@@ -1,9 +1,13 @@
 """The membership rule engine and its knowledge-base format."""
 
+from dataclasses import replace
+
 import pytest
 
+from cbound.braids import BraidWord
 from cbound.classify import (
     ClassifyError,
+    LinkRecord,
     _is_square,
     apply_rules,
     axiom_audit,
@@ -145,6 +149,36 @@ def test_one_seifert_reduction_per_word_per_run(fixtures_dir, monkeypatch):
     apply_rules(recs)
     assert len(reduced) == len(set(reduced)) == 32
     assert {r.braid for r in recs} <= set(reduced)
+
+
+def test_one_polynomial_per_word_per_run(fixtures_dir, monkeypatch):
+    import cbound.classify
+
+    evaluated = []
+    real = cbound.classify.homfly_braid
+
+    def counting(b, *args):
+        evaluated.append(b)
+        return real(b, *args)
+
+    monkeypatch.setattr(cbound.classify, "homfly_braid", counting)
+    recs = parse_kb((fixtures_dir / "table1.kb").read_text())
+    apply_rules(recs)
+    assert len(evaluated) == len(set(evaluated)) == 31
+
+
+def test_a_witness_that_does_not_replay_is_rejected(monkeypatch):
+    import cbound.classify
+
+    real = cbound.classify.chi_minus_lower_bound
+
+    def inflated(b, budget):
+        r = real(b, budget)
+        return replace(r, score=r.score + 1)
+
+    monkeypatch.setattr(cbound.classify, "chi_minus_lower_bound", inflated)
+    with pytest.raises(ClassifyError, match="chi search witness for fig8 does not replay"):
+        apply_rules([LinkRecord("fig8", BraidWord(3, (1, -2, 1, -2)))])
 
 
 def test_axiom_audit_attributes_every_axiom(fixtures_dir):

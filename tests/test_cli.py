@@ -55,6 +55,23 @@ def test_chi_prints_interval_and_witness(capsys):
     assert "reduce -> BR[3, {1, -2, -2}]" in out
 
 
+def test_chi_budget_warning_names_the_budget_and_the_ceiling(capsys):
+    word = "BR[4,{1,-2,3,-1,2,-3,1,-2,3,-2,1,-3}]"
+    code, out, err = run(capsys, "chi", word, "--search-budget", "200", "--machine")
+    assert code == 0
+    assert "chi_s_minus.lo=-8\n" in out and out.endswith("search.truncated=yes\n")
+    assert err == ("warning: search budget of 200 nodes ran out after 200 explored, "
+                   "at chi_s^- >= -8 (ceiling 2); lower bound may be slack\n")
+
+
+def test_chi_reaching_the_ceiling_is_not_truncated(capsys):
+    # BR[2,{-1}] is the unknot: one flip reaches chi = 1 = mu on the first node
+    code, out, err = run(capsys, "chi", "BR[2,{-1}]", "--search-budget", "1", "--machine")
+    assert code == 0
+    assert "chi_s_minus.lo=1\n" in out and out.endswith("search.truncated=no\n")
+    assert err == ""
+
+
 def test_qp_verify_good_and_bad(capsys, fixtures_dir, tmp_path):
     code, out, _ = run(capsys, "qp-verify", str(fixtures_dir / "qp_wermer.qp"))
     assert code == 0
