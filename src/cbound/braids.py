@@ -13,6 +13,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 
+#: default node cap of the chi search (``chi_minus_lower_bound``)
+DEFAULT_SEARCH_BUDGET = 100000
+
+
 class BraidError(ValueError):
     pass
 
@@ -90,37 +94,6 @@ def bennequin_chi(b: BraidWord) -> int:
 
 def mirror(b: BraidWord) -> BraidWord:
     return BraidWord(b.strands, tuple(-x for x in b.letters))
-
-
-def reverse(b: BraidWord) -> BraidWord:
-    return BraidWord(b.strands, tuple(reversed(b.letters)))
-
-
-def concat(a: BraidWord, b: BraidWord) -> BraidWord:
-    if a.strands != b.strands:
-        raise BraidError("cannot concatenate words on %d and %d strands" % (a.strands, b.strands))
-    return BraidWord(a.strands, a.letters + b.letters)
-
-
-def shift_indices(b: BraidWord, by: int, strands: int) -> BraidWord:
-    """Reindex every letter by ``by`` inside a wider braid group."""
-    return BraidWord(strands, tuple(x + by if x > 0 else x - by for x in b.letters))
-
-
-def split_sum_word(a: BraidWord, b: BraidWord) -> BraidWord:
-    """Word whose closure is the split union of the two closures."""
-    n = a.strands + b.strands
-    return BraidWord(n, a.letters + shift_indices(b, a.strands, n).letters)
-
-
-def connected_sum_word(a: BraidWord, b: BraidWord) -> BraidWord:
-    """Word whose closure is a connected sum of the closures.
-
-    The last strand of ``a`` is fused with the first strand of ``b``, which
-    joins the closure components running through those strands.
-    """
-    n = a.strands + b.strands - 1
-    return BraidWord(n, a.letters + shift_indices(b, a.strands - 1, n).letters)
 
 
 # -- permutations -----------------------------------------------------------
@@ -359,7 +332,7 @@ class ChiSearchResult:
     explored: int = 0
 
 
-def chi_minus_lower_bound(b: BraidWord, budget: int = 100000) -> ChiSearchResult:
+def chi_minus_lower_bound(b: BraidWord, budget: int = DEFAULT_SEARCH_BUDGET) -> ChiSearchResult:
     """Best provable lower bound for the maximal Euler characteristic of a
     surface with negative double points bounded by the closure.
 
@@ -564,21 +537,13 @@ def _seifert_reduction(b: BraidWord) -> tuple[int, int, int, Fraction]:
 
 
 def _surface_pieces(b: BraidWord) -> int:
-    """Connected pieces of the banded surface: strands joined by used columns."""
-    parent = list(range(b.strands))
+    """Connected pieces of the banded surface: strands joined by used columns.
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for x in b.letters:
-        i = abs(x)
-        a, c = find(i - 1), find(i)
-        if a != c:
-            parent[a] = c
-    return len({find(s) for s in range(b.strands)})
+    Column ``i`` joins strand positions ``i`` and ``i + 1``, so the used
+    columns are edges of a path graph on the positions; a forest has one
+    piece per vertex less one per edge, and each distinct column is one edge.
+    """
+    return b.strands - len({abs(x) for x in b.letters})
 
 
 def seifert_invariants(b: BraidWord) -> tuple[int, int, int]:

@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 from .braids import (
+    DEFAULT_SEARCH_BUDGET,
     BraidError,
     BraidWord,
     ChiSearchResult,
@@ -29,7 +30,7 @@ from .braids import (
     verify_witness,
 )
 from .diagrams import zero_linking_sublinks
-from .homfly import LaurentPoly2, homfly_braid, unlink_poly, fwm_obstruction
+from .homfly import DEFAULT_SKEIN_BUDGET, LaurentPoly2, homfly_braid, unlink_poly, fwm_obstruction
 from .notation import ParseError, parse_braid
 
 CLASSES = ("Q", "SB", "B")
@@ -289,13 +290,6 @@ def parse_certificate(strands: int, text: str) -> QPFactorization:
             raise ClassifyError("bad certificate factor %r" % piece) from None
         factors.append((conj, j))
     return QPFactorization(strands, tuple(factors))
-
-
-def render_certificate(fac: QPFactorization) -> str:
-    out = []
-    for conj, j in fac.factors:
-        out.append("%s:%d" % (",".join(str(x) for x in conj), j))
-    return " ".join(out)
 
 
 def _parse_letterset(text: str) -> frozenset[str]:
@@ -635,8 +629,8 @@ def _membership_pass(rows: dict[str, _Row], use_axioms: bool) -> bool:
 def apply_rules(
     records: list[LinkRecord],
     *,
-    skein_budget: int = 1 << 20,
-    search_budget: int = 100000,
+    skein_budget: int = DEFAULT_SKEIN_BUDGET,
+    search_budget: int = DEFAULT_SEARCH_BUDGET,
     use_axioms: bool = True,
 ) -> Ledger:
     """Run the bound assembly and the membership fixpoint over the records.
@@ -683,20 +677,6 @@ def apply_rules(
     return Ledger(out)
 
 
-def chi_bounds_for(
-    rec: LinkRecord,
-    *,
-    skein_budget: int = 1 << 20,
-    search_budget: int = 100000,
-) -> ChiBounds:
-    """Bound assembly for one record in isolation.  Relations to other
-    records cannot contribute here; use apply_rules for a full base."""
-    solo = replace(rec, mirror_of=None, sum_kind=None, summands=(), outer=False, expected={},
-                   stated_chi_s=None, stated_chi_minus=None)
-    led = apply_rules([solo], skein_budget=skein_budget, search_budget=search_budget)
-    return led.rows[solo.name].chi
-
-
 def _check_chain(rows: dict[str, RowResult]):
     rank = {"yes": 1, "unknown": 0, "no": -1}
     for r in rows.values():
@@ -722,8 +702,8 @@ def axiom_audit(
     records: list[LinkRecord],
     ledger: Ledger,
     *,
-    skein_budget: int = 1 << 20,
-    search_budget: int = 100000,
+    skein_budget: int = DEFAULT_SKEIN_BUDGET,
+    search_budget: int = DEFAULT_SEARCH_BUDGET,
 ) -> list[tuple[str, str, str, str]]:
     """Cells that the generic rules alone leave undecided, each attributed
     to the axioms it rests on.

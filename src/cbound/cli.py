@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .braids import BraidError, component_count
+from .braids import DEFAULT_SEARCH_BUDGET, BraidError, component_count
 from .classify import (
     ClassifyError,
     LinkRecord,
@@ -25,7 +25,7 @@ from .classify import (
 )
 from .diagrams import Diagram, DiagramError, from_braid, linking_matrix
 from .embed import EmbedError, linking_by_id, oval_link_pd, render_svg
-from .homfly import BudgetExceeded, homfly
+from .homfly import DEFAULT_SKEIN_BUDGET, BudgetExceeded, homfly
 from .notation import ParseError, parse_braid, parse_ovals, parse_pd, render_braid, render_pd, render_poly
 from .splice import (
     OvalError,
@@ -66,15 +66,24 @@ def _emit_matrix(args, mat: list[list[int]], labels=None):
             print(" ".join(str(v).rjust(width) for v in row))
 
 
-def cmd_homfly(args) -> int:
-    diag = _load_diagram(args.input, args.unknots)
-    p = homfly(diag, args.skein_budget)
+def _emit_poly(args, p):
     if args.machine:
         print("poly=%s" % render_poly(p))
         print("ord_v=%d" % p.ord_v)
     else:
         print("P = %s" % render_poly(p))
         print("ord_v = %d" % p.ord_v)
+
+
+def _solo_row(args):
+    """The input word and its row in a one-record ledger."""
+    b = parse_braid(_load_text(args.input).strip())
+    ledger = apply_rules([LinkRecord("input", b)], skein_budget=args.skein_budget, search_budget=args.search_budget)
+    return b, ledger.rows["input"]
+
+
+def cmd_homfly(args) -> int:
+    _emit_poly(args, homfly(_load_diagram(args.input, args.unknots), args.skein_budget))
     return 0
 
 
@@ -85,10 +94,7 @@ def cmd_lk(args) -> int:
 
 
 def cmd_chi(args) -> int:
-    b = parse_braid(_load_text(args.input).strip())
-    rec = LinkRecord("input", b)
-    ledger = apply_rules([rec], skein_budget=args.skein_budget, search_budget=args.search_budget)
-    row = ledger.rows["input"]
+    b, row = _solo_row(args)
     (slo, shi), (mlo, mhi) = row.chi.chi_s, row.chi.chi_s_minus
     if args.machine:
         print("chi_s.lo=%d" % slo)
@@ -154,10 +160,7 @@ def cmd_qp_verify(args) -> int:
 
 
 def cmd_qp_obstruct(args) -> int:
-    b = parse_braid(_load_text(args.input).strip())
-    rec = LinkRecord("input", b)
-    ledger = apply_rules([rec], skein_budget=args.skein_budget, search_budget=args.search_budget)
-    row = ledger.rows["input"]
+    _, row = _solo_row(args)
     hi = row.chi.chi_s[1]
     from .homfly import fwm_obstruction
 
@@ -216,15 +219,11 @@ def cmd_ovals(args) -> int:
     if args.machine:
         print("pd=%s" % render_pd(diag))
         print("components=%s" % ",".join(str(i) for i in ids))
-        _emit_matrix(args, mat, labels)
-        print("poly=%s" % render_poly(p))
-        print("ord_v=%d" % p.ord_v)
     else:
         print(render_pd(diag))
         print("component order: %s" % " ".join(str(i) for i in ids))
-        _emit_matrix(args, mat, labels)
-        print("P = %s" % render_poly(p))
-        print("ord_v = %d" % p.ord_v)
+    _emit_matrix(args, mat, labels)
+    _emit_poly(args, p)
     if args.svg:
         with open(args.svg, "w") as fh:
             fh.write(render_svg(proj))
@@ -256,9 +255,9 @@ def _option(flag: str, **kw) -> argparse.ArgumentParser:
 
 def build_parser() -> argparse.ArgumentParser:
     machine = _option("--machine", action="store_true", help="key=value output")
-    skein = _option("--skein-budget", type=int, default=1 << 20, dest="skein_budget",
+    skein = _option("--skein-budget", type=int, default=DEFAULT_SKEIN_BUDGET, dest="skein_budget",
                     help="crossings charged per expanded skein node")
-    search = _option("--search-budget", type=int, default=100000, dest="search_budget",
+    search = _option("--search-budget", type=int, default=DEFAULT_SEARCH_BUDGET, dest="search_budget",
                      help="node cap for the chi search")
     seed = _option("--seed", type=int, default=0, help="projection chart seed")
 

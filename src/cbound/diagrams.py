@@ -153,6 +153,15 @@ def from_pd(tuples: list[tuple[int, int, int, int]], free_loops: int = 0) -> Dia
         claim(tails, k, "tails")
     # sign[t] = +1 when over runs l->j, -1 when over runs j->l
     sign: list[int | None] = [None] * len(tuples)
+
+    def orient(t, s):
+        """Fix crossing t's sign and claim its over strand's head and tail."""
+        _, j, _, l = tuples[t]
+        sign[t] = s
+        head, tail = (l, j) if s == 1 else (j, l)
+        claim(heads, head, "heads")
+        claim(tails, tail, "tails")
+
     changed = True
     while changed:
         changed = False
@@ -160,29 +169,15 @@ def from_pd(tuples: list[tuple[int, int, int, int]], free_loops: int = 0) -> Dia
             if sign[t] is not None:
                 continue
             if heads.get(j) or tails.get(l):
-                s = 1  # j must be a tail, so over runs l -> j
+                orient(t, 1)  # j must be a tail, so over runs l -> j
             elif tails.get(j) or heads.get(l):
-                s = -1
+                orient(t, -1)
             else:
                 continue
-            sign[t] = s
-            if s == 1:
-                claim(heads, l, "heads")
-                claim(tails, j, "tails")
-            else:
-                claim(heads, j, "heads")
-                claim(tails, l, "tails")
             changed = True
     for t, (i, j, k, l) in enumerate(tuples):
         if sign[t] is None:
-            s = 1 if (l + 1 == j) else (-1 if j + 1 == l else 1)
-            sign[t] = s
-            if s == 1:
-                claim(heads, l, "heads")
-                claim(tails, j, "tails")
-            else:
-                claim(heads, j, "heads")
-                claim(tails, l, "tails")
+            orient(t, -1 if j + 1 == l else 1)
     crossings: list[Crossing] = []
     for t, (i, j, k, l) in enumerate(tuples):
         if sign[t] == 1:
@@ -228,50 +223,6 @@ def linking_matrix(d: Diagram) -> list[list[int]]:
                 raise DiagramError("odd crossing count between components %d and %d" % (r, c))
             acc[r][c] //= 2
     return acc
-
-
-def mirror_diagram(d: Diagram) -> Diagram:
-    out = [(oi, oo, ui, uo, -s) for ui, uo, oi, oo, s in d.crossings]
-    return Diagram(out, [list(c) for c in d.components], d.free_loops)
-
-
-def reverse_component(d: Diagram, idx: int) -> Diagram:
-    """Reverse the orientation of a single component."""
-    where = _component_of_arc(d)
-    out: list[Crossing] = []
-    for ui, uo, oi, oo, s in d.crossings:
-        under_in = where[ui] == idx
-        over_in = where[oi] == idx
-        if under_in and over_in:
-            out.append((uo, ui, oo, oi, s))
-        elif under_in:
-            out.append((uo, ui, oi, oo, -s))
-        elif over_in:
-            out.append((ui, uo, oo, oi, -s))
-        else:
-            out.append((ui, uo, oi, oo, s))
-    comps = [list(reversed(c)) if i == idx else list(c) for i, c in enumerate(d.components)]
-    return Diagram(out, comps, d.free_loops)
-
-
-def _relabel(d: Diagram, offset: int) -> Diagram:
-    cr = [tuple(a + offset for a in c[:4]) + (c[4],) for c in d.crossings]
-    comps = [[a + offset for a in c] for c in d.components]
-    return Diagram(cr, comps, d.free_loops)
-
-
-def max_arc(d: Diagram) -> int:
-    m = 0
-    for c in d.crossings:
-        m = max(m, *c[:4])
-    return m
-
-
-def disjoint_sum(d1: Diagram, d2: Diagram) -> Diagram:
-    off = max_arc(d1)
-    e2 = _relabel(d2, off)
-    return Diagram(d1.crossings + e2.crossings, [list(c) for c in d1.components] + e2.components,
-                   d1.free_loops + d2.free_loops)
 
 
 def remove_crossings(d: Diagram, kill: set[int], joins: list[tuple[int, int]]) -> Diagram:

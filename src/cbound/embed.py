@@ -89,18 +89,18 @@ def auto_geometry(forest: OvalForest) -> OvalForest:
                 ang = 2 * math.pi * k / s
                 x = cx + 0.55 * r * math.cos(ang)
                 y = cy + 0.55 * r * math.sin(ang)
-            placed[o.ident] = (x, y, 0.0 if o.is_fiber else 0.35 * r / s)
+            placed[o.ident] = (x, y, 0.0 if o.fiber else 0.35 * r / s)
             place_children(o)
 
     roots = forest.roots()
     if len(roots) == 1:
-        placed[roots[0].ident] = (0.0, 0.0, 0.0 if roots[0].is_fiber else 0.7)
+        placed[roots[0].ident] = (0.0, 0.0, 0.0 if roots[0].fiber else 0.7)
     else:
         rr = min(0.25, 0.4 * math.sin(math.pi / len(roots)))
         for k, o in enumerate(roots):
             ang = 2 * math.pi * k / len(roots)
             placed[o.ident] = (0.5 * math.cos(ang), 0.5 * math.sin(ang),
-                              0.0 if o.is_fiber else rr)
+                              0.0 if o.fiber else rr)
     for r in roots:
         place_children(r)
     out = OvalForest([Oval(o.ident, o.parent, o.winding, o.fiber,

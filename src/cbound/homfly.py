@@ -24,6 +24,10 @@ from .braids import BraidWord
 from .diagrams import Crossing, Diagram, from_braid, remove_crossings, simplify_diagram
 
 
+#: default skein budget, in crossings charged per expanded node
+DEFAULT_SKEIN_BUDGET = 1 << 20
+
+
 class BudgetExceeded(RuntimeError):
     """Raised when the skein evaluation charges more crossings than its
     budget allows."""
@@ -114,12 +118,6 @@ class LaurentPoly2:
         """Polynomial of the mirror link: substitute v -> 1/v, z -> -z."""
         return LaurentPoly2({(-a, b): c * (1 if b % 2 == 0 else -1) for (a, b), c in self.terms.items()})
 
-    def evaluate(self, v: complex, z: complex) -> complex:
-        tot = 0j
-        for (a, b), c in self.terms.items():
-            tot += c * v**a * z**b
-        return tot
-
     def __repr__(self):
         items = sorted(self.terms.items(), key=lambda kv: (-kv[0][0], -kv[0][1]))
         return "LaurentPoly2(%r)" % (dict(items),)
@@ -163,7 +161,7 @@ def _node(d: Diagram) -> Key:
     return _canonical(simplify_diagram(d))
 
 
-def homfly(diag: Diagram, budget: int = 1 << 20) -> LaurentPoly2:
+def homfly(diag: Diagram, budget: int = DEFAULT_SKEIN_BUDGET) -> LaurentPoly2:
     """HOMFLY polynomial of an oriented diagram.
 
     Every node expanded charges its crossing count (at least 1) against
@@ -218,11 +216,11 @@ def homfly(diag: Diagram, budget: int = 1 << 20) -> LaurentPoly2:
     return memo[root]
 
 
-def homfly_braid(b: BraidWord, budget: int = 1 << 20) -> LaurentPoly2:
+def homfly_braid(b: BraidWord, budget: int = DEFAULT_SKEIN_BUDGET) -> LaurentPoly2:
     return homfly(from_braid(b), budget)
 
 
-def homfly_pd(diag: Diagram, budget: int = 1 << 20) -> LaurentPoly2:
+def homfly_pd(diag: Diagram, budget: int = DEFAULT_SKEIN_BUDGET) -> LaurentPoly2:
     """Same as ``homfly``, which already removes kinks and clasps at every
     node of the skein tree."""
     return homfly(diag, budget)
@@ -245,14 +243,3 @@ def fwm_obstruction(p: LaurentPoly2, chi_s_upper: int) -> dict:
         "required_at_least": bound,
         "refuted": p.ord_v < bound,
     }
-
-
-def determinant_from_poly(p: LaurentPoly2) -> int:
-    """|P(1, 2i)|, which matches the link determinant; the value of a
-    Laurent polynomial at v=1, z=2i is a Gaussian integer."""
-    val = p.evaluate(1, 2j)
-    out = abs(val)
-    r = round(out)
-    if abs(out - r) > 1e-6:
-        raise ValueError("determinant evaluation drifted: %r" % val)
-    return int(r)

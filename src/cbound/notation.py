@@ -183,8 +183,6 @@ def _poly_div(num: LaurentPoly2, den: LaurentPoly2, l: int, c: int) -> LaurentPo
         raise ParseError("can only divide by a single monomial", l, c)
     (dv, dz), coeff = terms[0]
     shifted = num.shift(-dv, -dz)
-    if coeff in (1, -1):
-        return shifted if coeff == 1 else -shifted
     out = {}
     for key, val in shifted.terms.items():
         if val % coeff:
@@ -204,11 +202,7 @@ def _poly_factor(tk: _Tokens) -> LaurentPoly2:
         if len(terms) != 1 or terms[0][1] not in (1, -1):
             raise ParseError("negative power needs a monomial base", l, c)
         (dv, dz), coeff = terms[0]
-        out = LaurentPoly2.const(1)
-        inv = LaurentPoly2({(-dv, -dz): coeff})
-        for _ in range(-e):
-            out = out * inv
-        return out
+        return LaurentPoly2({(-dv, -dz): coeff}) ** -e
     return base
 
 
@@ -347,16 +341,3 @@ def parse_ovals(text: str) -> OvalForest:
         return OvalForest(ovals)
     except OvalError as exc:
         raise ParseError(str(exc))
-
-
-def render_ovals(forest: OvalForest) -> str:
-    lines = []
-    for o in forest.ovals:
-        if o.has_geometry:
-            lines.append("%d %d %d %g %g %g" % (o.ident, o.parent, o.winding, o.cx, o.cy, o.r))
-        elif o.is_fiber:
-            # only a zero radius marks a fiber in the file format
-            raise OvalError("fiber %d needs geometry to be written out" % o.ident)
-        else:
-            lines.append("%d %d %d" % (o.ident, o.parent, o.winding))
-    return "\n".join(lines)

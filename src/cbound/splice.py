@@ -36,10 +36,6 @@ class Oval:
     def has_geometry(self) -> bool:
         return self.r is not None
 
-    @property
-    def is_fiber(self) -> bool:
-        return self.fiber
-
 
 @dataclass
 class OvalForest:
@@ -65,7 +61,7 @@ class OvalForest:
                 seen.add(p)
                 p = self.by_id(p).parent
         for o in self.ovals:
-            if o.is_fiber:
+            if o.fiber:
                 if self.children(o.ident):
                     raise OvalError("fiber %d cannot contain other ovals" % o.ident)
                 if o.winding not in (-1, 1):
@@ -123,7 +119,7 @@ def realizable(forest: OvalForest) -> tuple[bool, list[int]]:
     adj = induced_windings(forest)
     bad = []
     for o in forest.ovals:
-        if o.is_fiber:
+        if o.fiber:
             continue
         if forest.depth(o.ident) % 2 == 1:
             s = adj[o.ident] + sum(adj[c.ident] for c in forest.children(o.ident))
@@ -166,7 +162,7 @@ def cabling_program(forest: OvalForest) -> list[CableOp]:
     ops: list[CableOp] = []
 
     def process(o: Oval):
-        if o.is_fiber:
+        if o.fiber:
             if o.winding == -1:
                 ops.append(CableOp("split", o.ident, 1, reverse=True))
             return
@@ -253,7 +249,7 @@ def splice_diagram(forest: OvalForest) -> SpliceDiagram:
         return arrow
 
     def process(o: Oval, arrow: int):
-        if o.is_fiber:
+        if o.fiber:
             if o.winding == -1:
                 n = promote(arrow)
                 stub = sd.new_vertex("stub")

@@ -15,12 +15,11 @@ from cbound.braids import (
     ChiSearchResult,
     QPFactorization,
     _neighbors,
+    _surface_pieces,
     bennequin_chi,
     braid_equal,
     chi_minus_lower_bound,
     component_count,
-    concat,
-    connected_sum_word,
     destabilize_isolated,
     determinant_of_closure,
     expand_qp,
@@ -30,10 +29,8 @@ from cbound.braids import (
     perm_of,
     qp_chi,
     reduce_word,
-    reverse,
     seifert_matrix_of_closure,
     signature_and_nullity,
-    split_sum_word,
     sub_braid,
     verify_witness,
 )
@@ -86,20 +83,9 @@ def test_braid_equal_relations():
     assert not braid_equal(TREFOIL, BraidWord(2, (1,)))
 
 
-def test_mirror_and_reverse():
+def test_mirror():
     assert mirror(TREFOIL).letters == (-1, -1, -1)
-    assert reverse(BraidWord(3, (1, 2))).letters == (2, 1)
     assert mirror(mirror(FIG8)) == FIG8
-
-
-def test_sum_words():
-    s = split_sum_word(HOPF, TREFOIL)
-    assert s.strands == 4
-    assert component_count(s) == 3
-    c = connected_sum_word(HOPF, TREFOIL)
-    assert c.strands == 3
-    assert component_count(c) == 2
-    assert concat(TREFOIL, TREFOIL).letters == (1,) * 6
 
 
 def test_sub_braid_strand_sets_are_one_based():
@@ -223,19 +209,26 @@ def reference_signature_and_nullity(b):
                     m[a][c] -= f * m[piv][c]
                 for r in range(n):
                     m[r][a] -= f * m[r][piv]
+    return pos - neg, zero + reference_surface_pieces(b) - 1
+
+
+def reference_surface_pieces(b):
+    """Pieces of the banded surface by union-find over the strands, as the
+    program counted them before the closed form."""
     parent = list(range(b.strands))
 
     def find(x):
         while parent[x] != x:
+            parent[x] = parent[parent[x]]
             x = parent[x]
         return x
 
     for x in b.letters:
-        a, c = find(abs(x) - 1), find(abs(x))
+        i = abs(x)
+        a, c = find(i - 1), find(i)
         if a != c:
             parent[a] = c
-    pieces = len({find(s) for s in range(b.strands)})
-    return pos - neg, zero + pieces - 1
+    return len({find(s) for s in range(b.strands)})
 
 
 def reference_determinant(b):
@@ -267,6 +260,20 @@ def random_word(rng, max_strands, max_length):
     n = rng.randint(1, max_strands)
     length = rng.randint(0, max_length) if n > 1 else 0
     return BraidWord(n, tuple(rng.choice([1, -1]) * rng.randint(1, n - 1) for _ in range(length)))
+
+
+def test_surface_pieces_match_union_find_reference():
+    rng = random.Random(6113)
+    for _ in range(3000):
+        n = rng.randint(1, 8)
+        # draw from a random subset of the columns, so that some words skip
+        # columns and leave several pieces
+        cols = [i for i in range(1, n) if rng.random() < 0.6]
+        length = rng.randint(0, 12) if cols else 0
+        b = BraidWord(n, tuple(rng.choice((1, -1)) * rng.choice(cols) for _ in range(length)))
+        assert _surface_pieces(b) == reference_surface_pieces(b), b
+    assert _surface_pieces(BraidWord(6, (1, 3, -3, 5, 1))) == 3
+    assert _surface_pieces(BraidWord(4, ())) == 4
 
 
 def test_seifert_invariants_match_two_path_reference():

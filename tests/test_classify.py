@@ -11,12 +11,10 @@ from cbound.classify import (
     _is_square,
     apply_rules,
     axiom_audit,
-    chi_bounds_for,
     describe_ledger,
     fmt_letters,
     parse_certificate,
     parse_kb,
-    render_certificate,
     table1_report,
     verify_certificates,
 )
@@ -61,7 +59,8 @@ def test_parse_kb_errors():
 
 def test_certificate_round_trip():
     fac = parse_certificate(3, "-1:2 :1 :2")
-    assert render_certificate(fac) == "-1:2 :1 :2"
+    assert fac.strands == 3
+    assert fac.factors == (((-1,), 2), ((), 1), ((), 2))
 
 
 def test_corrupt_certificate_reported_before_rules():
@@ -90,11 +89,11 @@ def test_mirror_exclusion():
 
 def test_chi_bounds_for_solo_rows():
     rec = parse_kb("link m3\nbraid BR[2,{-1,-1,-1}]\n")[0]
-    b = chi_bounds_for(rec)
+    b = apply_rules([rec]).rows["m3"].chi
     assert b.chi_s == (-1, -1)
     assert b.chi_s_minus == (1, 1)
     hopf = parse_kb("link h\nbraid BR[2,{1,1}]\ncert :1 :1\n")[0]
-    hb = chi_bounds_for(hopf)
+    hb = apply_rules([hopf]).rows["h"].chi
     assert hb.chi_s == (0, 0) and hb.chi_s_minus == (0, 0)
 
 

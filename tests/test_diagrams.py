@@ -1,23 +1,21 @@
-"""Planar diagrams: construction, linking matrices, sums, sublinks."""
+"""Planar diagrams: construction, linking matrices, sublinks."""
 
 import random
 
 from cbound.braids import BraidWord
 from cbound.diagrams import (
     Diagram,
-    disjoint_sum,
     from_braid,
     from_pd,
     linking_matrix,
-    mirror_diagram,
     pd_tuples,
     remove_crossings,
-    reverse_component,
     simplify_diagram,
     walk_components,
     zero_linking_sublinks,
 )
 from cbound.notation import parse_pd
+from oracles import mirror_diagram, reverse_component
 
 HOPF_PLUS = BraidWord(2, (1, 1))
 
@@ -67,16 +65,6 @@ def test_appendix_diagram(fixtures_dir):
     assert d.total_components == 2
     m = linking_matrix(d)
     assert m[0][1] == m[1][0]
-
-
-def test_disjoint_sum_block_structure():
-    a = from_braid(HOPF_PLUS)
-    b = from_braid(BraidWord(2, (-1, -1)))
-    s = disjoint_sum(a, b)
-    assert s.total_components == 4
-    m = linking_matrix(s)
-    assert m[0][1] == 1 and m[2][3] == -1
-    assert m[0][2] == m[0][3] == m[1][2] == m[1][3] == 0
 
 
 def test_reverse_component_flips_its_linking_row():
