@@ -404,24 +404,23 @@ def _validate_records(records: list[LinkRecord]):
         for ref in (r.summands or ()) + ((r.mirror_of,) if r.mirror_of else ()):
             if ref not in byname:
                 raise ClassifyError("record %s refers to unknown link %r" % (r.name, ref))
-    # relations must not loop back
-    state: dict[str, int] = {}
-
-    def visit(name: str):
-        if state.get(name) == 1:
-            raise ClassifyError("cyclic relation through %s" % name)
-        if state.get(name) == 2:
-            return
-        state[name] = 1
-        r = byname[name]
-        if r.mirror_of:
-            visit(r.mirror_of)
-        for s in r.summands:
-            visit(s)
-        state[name] = 2
-
-    for r in records:
-        visit(r.name)
+    # relations must not loop back: a depth-first walk from every record in
+    # turn along mirror-of, then sum, references; records on the path are
+    # marked 1, finished ones 2
+    state: dict[str | None, int] = {}
+    path = [(None, iter(byname))]
+    while path:
+        name, refs = path[-1]
+        ref = next(refs, None)
+        if ref is None:
+            state[name] = 2
+            path.pop()
+        elif state.get(ref) == 1:
+            raise ClassifyError("cyclic relation through %s" % ref)
+        elif ref not in state:
+            state[ref] = 1
+            r = byname[ref]
+            path.append((ref, iter(((r.mirror_of,) if r.mirror_of else ()) + r.summands)))
 
 
 def verify_certificates(records: list[LinkRecord]) -> list[str]:

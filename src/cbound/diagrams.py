@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .braids import BraidWord, perm_cycles, perm_of
+from .braids import BraidWord
 
 
 class DiagramError(ValueError):
@@ -103,20 +103,9 @@ def from_braid(b: BraidWord) -> Diagram:
         else:
             rename[cur[p]] = p + 1
     crossings = [tuple(rename.get(a, a) for a in c[:4]) + (c[4],) for c in crossings]
-    comps_by_min = walk_components(crossings)
-    cycles = perm_cycles(perm_of(b))
-    order: list[list[int]] = []
-    used_cycles = [cyc for cyc in cycles if cur[cyc[0]] != cyc[0] + 1]
-    first = [cyc for cyc in used_cycles if 0 in cyc]
-    rest = sorted((cyc for cyc in used_cycles if 0 not in cyc), key=lambda cyc: -min(cyc))
-    for cyc in first + rest:
-        start_arc = min(cyc) + 1
-        match = [c for c in comps_by_min if start_arc in c]
-        if len(match) != 1:
-            raise DiagramError("closure bookkeeping lost strand %d" % (min(cyc) + 1))
-        comp = match[0]
-        j = comp.index(start_arc)
-        order.append(comp[j:] + comp[:j])
+    # arcs 1..n are the strand positions, and the walk starts every
+    # component at its smallest arc
+    order = sorted(walk_components(crossings), key=lambda c: (c[0] != 1, -c[0]))
     return Diagram(crossings, order, free)
 
 

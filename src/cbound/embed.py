@@ -75,23 +75,6 @@ def auto_geometry(forest: OvalForest) -> OvalForest:
         return forest
 
     placed: dict[int, tuple[float, float, float]] = {}
-
-    def place_children(parent: Oval):
-        cx, cy, r = placed[parent.ident]
-        kids = forest.children(parent.ident)
-        s = len(kids)
-        if s == 0:
-            return
-        for k, o in enumerate(kids):
-            if s == 1:
-                x, y = cx, cy
-            else:
-                ang = 2 * math.pi * k / s
-                x = cx + 0.55 * r * math.cos(ang)
-                y = cy + 0.55 * r * math.sin(ang)
-            placed[o.ident] = (x, y, 0.0 if o.fiber else 0.35 * r / s)
-            place_children(o)
-
     roots = forest.roots()
     if len(roots) == 1:
         placed[roots[0].ident] = (0.0, 0.0, 0.0 if roots[0].fiber else 0.7)
@@ -101,8 +84,18 @@ def auto_geometry(forest: OvalForest) -> OvalForest:
             ang = 2 * math.pi * k / len(roots)
             placed[o.ident] = (0.5 * math.cos(ang), 0.5 * math.sin(ang),
                               0.0 if o.fiber else rr)
-    for r in roots:
-        place_children(r)
+    for parent in forest.walk:
+        cx, cy, r = placed[parent.ident]
+        kids = forest.children(parent.ident)
+        s = len(kids)
+        for k, o in enumerate(kids):
+            if s == 1:
+                x, y = cx, cy
+            else:
+                ang = 2 * math.pi * k / s
+                x = cx + 0.55 * r * math.cos(ang)
+                y = cy + 0.55 * r * math.sin(ang)
+            placed[o.ident] = (x, y, 0.0 if o.fiber else 0.35 * r / s)
     out = OvalForest([Oval(o.ident, o.parent, o.winding, o.fiber,
                            placed[o.ident][0], placed[o.ident][1], placed[o.ident][2])
                       for o in forest.ovals])

@@ -42,9 +42,9 @@ class _Tokens:
                 col += 1
                 i += 1
                 continue
-            if ch.isdigit():
+            if ch.isdecimal():
                 j = i
-                while j < len(text) and text[j].isdigit():
+                while j < len(text) and text[j].isdecimal():
                     j += 1
                 self.toks.append(("int", text[i:j], line, col))
                 col += j - i

@@ -15,6 +15,7 @@ connecting path on the edges hanging off that path.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 
@@ -39,27 +40,40 @@ class Oval:
 
 @dataclass
 class OvalForest:
+    """Ovals indexed by id, with child lists in id order and one walk from
+    the roots (``walk``: roots in id order, each oval followed by the walks
+    of its children in id order) that records every depth."""
+
     ovals: list[Oval]
 
     def __post_init__(self):
-        ids = [o.ident for o in self.ovals]
-        if len(set(ids)) != len(ids):
+        self._by_id = {o.ident: o for o in self.ovals}
+        if len(self._by_id) != len(self.ovals):
             raise OvalError("duplicate oval ids")
-        if any(i <= 0 for i in ids):
+        if any(i <= 0 for i in self._by_id):
             raise OvalError("oval ids must be positive")
-        known = set(ids)
+        self._children: dict[int, list[Oval]] = {i: [] for i in [0, *self._by_id]}
         for o in self.ovals:
-            if o.parent != 0 and o.parent not in known:
+            if o.parent not in self._children:
                 raise OvalError("oval %d refers to missing parent %d" % (o.ident, o.parent))
-        # reject parent cycles
-        for o in self.ovals:
-            seen = {o.ident}
-            p = o.parent
-            while p != 0:
-                if p in seen:
-                    raise OvalError("parent cycle through oval %d" % p)
-                seen.add(p)
-                p = self.by_id(p).parent
+        for o in sorted(self.ovals, key=lambda o: o.ident):
+            self._children[o.parent].append(o)
+        self.walk: list[Oval] = []
+        self._depth: dict[int, int] = {}
+        todo = [(o, 0) for o in reversed(self._children[0])]
+        while todo:
+            o, d = todo.pop()
+            self.walk.append(o)
+            self._depth[o.ident] = d
+            todo.extend((k, d + 1) for k in reversed(self._children[o.ident]))
+        missed = [o for o in self.ovals if o.ident not in self._depth]
+        if missed:
+            # an oval the walk misses has a parent cycle above it
+            seen, i = set(), missed[0].ident
+            while i not in seen:
+                seen.add(i)
+                i = self._by_id[i].parent
+            raise OvalError("parent cycle through oval %d" % i)
         for o in self.ovals:
             if o.fiber:
                 if self.children(o.ident):
@@ -75,27 +89,19 @@ class OvalForest:
             raise OvalError("geometry must be given for all ovals or none")
 
     def by_id(self, ident: int) -> Oval:
-        for o in self.ovals:
-            if o.ident == ident:
-                return o
-        raise KeyError(ident)
+        return self._by_id[ident]
 
     def children(self, ident: int) -> list[Oval]:
-        return sorted((o for o in self.ovals if o.parent == ident), key=lambda o: o.ident)
+        return self._children[ident]
 
     def roots(self) -> list[Oval]:
-        return sorted((o for o in self.ovals if o.parent == 0), key=lambda o: o.ident)
+        return self._children[0]
 
     def depth(self, ident: int) -> int:
-        d = 0
-        p = self.by_id(ident).parent
-        while p != 0:
-            d += 1
-            p = self.by_id(p).parent
-        return d
+        return self._depth[ident]
 
     def ids(self) -> list[int]:
-        return sorted(o.ident for o in self.ovals)
+        return sorted(self._by_id)
 
 
 def induced_windings(forest: OvalForest) -> dict[int, int]:
@@ -160,24 +166,17 @@ def cabling_program(forest: OvalForest) -> list[CableOp]:
     order.  Fibers with winding +1 are silent: they are exactly the cores
     that add_retain keeps."""
     ops: list[CableOp] = []
-
-    def process(o: Oval):
+    for o in forest.walk:
+        kids = forest.children(o.ident)
         if o.fiber:
             if o.winding == -1:
                 ops.append(CableOp("split", o.ident, 1, reverse=True))
-            return
-        kids = forest.children(o.ident)
-        if kids:
+        elif kids:
             ops.append(CableOp("add_retain", o.ident, o.winding))
             if len(kids) >= 2:
                 ops.append(CableOp("split", o.ident, len(kids)))
-            for k in kids:
-                process(k)
         else:
             ops.append(CableOp("add_remove", o.ident, o.winding))
-
-    for r in forest.roots():
-        process(r)
     return ops
 
 
@@ -198,38 +197,39 @@ class SpliceEdge:
     w1: int  # weight at the v1 end
     w2: int
 
+    def weight_at(self, v: int) -> int:
+        return self.w1 if self.v1 == v else self.w2
+
 
 @dataclass
 class SpliceDiagram:
+    """Vertices by id, and for each vertex a map from neighbour to the edge
+    joining them, in the order the edges were added."""
+
     vertices: dict[int, SpliceVertex] = field(default_factory=dict)
-    edges: list[SpliceEdge] = field(default_factory=list)
+    adjacent: dict[int, dict[int, SpliceEdge]] = field(default_factory=dict)
     _next: int = 1
 
     def new_vertex(self, kind: str, label: int | None = None) -> int:
         v = self._next
         self._next += 1
         self.vertices[v] = SpliceVertex(v, kind, label)
+        self.adjacent[v] = {}
         return v
 
     def add_edge(self, v1: int, v2: int, w1: int, w2: int) -> SpliceEdge:
         e = SpliceEdge(v1, v2, w1, w2)
-        self.edges.append(e)
+        self.adjacent[v1][v2] = self.adjacent[v2][v1] = e
         return e
 
-    def incident(self, v: int) -> list[SpliceEdge]:
-        return [e for e in self.edges if v in (e.v1, e.v2)]
+    def remove_vertex(self, v: int):
+        for u in self.adjacent.pop(v):
+            del self.adjacent[u][v]
+        del self.vertices[v]
 
-    def neighbor(self, e: SpliceEdge, v: int) -> int:
-        return e.v2 if e.v1 == v else e.v1
-
-    def weight_at(self, e: SpliceEdge, v: int) -> int:
-        return e.w1 if e.v1 == v else e.w2
-
-    def set_weight_at(self, e: SpliceEdge, v: int, w: int):
-        if e.v1 == v:
-            e.w1 = w
-        else:
-            e.w2 = w
+    @property
+    def edges(self) -> list[SpliceEdge]:
+        return [e for v, nbrs in self.adjacent.items() for e in nbrs.values() if e.v1 == v]
 
     def arrows(self) -> list[int]:
         return sorted((v for v, sv in self.vertices.items() if sv.kind == "arrow"),
@@ -237,99 +237,74 @@ class SpliceDiagram:
 
 
 def splice_diagram(forest: OvalForest) -> SpliceDiagram:
-    """Build the weighted splice tree by executing the cabling program."""
+    """Build the weighted splice tree, walking the forest in the same order
+    as :func:`cabling_program`.
+
+    Each oval arrives at an arrowhead: a fresh one for a root, its parent's
+    continuation for an only child, or a new branch off its parent's
+    fan-out node.  A fiber labels that arrowhead (winding +1) or turns it
+    into a node with a reversed copy (winding -1); any other oval turns it
+    into a node carrying the oval's own arrow and either a stub of weight
+    ``winding`` (a leaf) or a continuation toward its children."""
     sd = SpliceDiagram()
-
-    def promote(arrow: int) -> int:
-        """Turn an arrowhead into an interior node; its edge (if any) gets
-        weight 1 at the new node end."""
-        sd.vertices[arrow] = SpliceVertex(arrow, "node")
-        for e in sd.incident(arrow):
-            sd.set_weight_at(e, arrow, 1)
-        return arrow
-
-    def process(o: Oval, arrow: int):
-        if o.fiber:
-            if o.winding == -1:
-                n = promote(arrow)
-                stub = sd.new_vertex("stub")
-                sd.add_edge(n, stub, -1, 1)
-                comp = sd.new_vertex("arrow", o.ident)
-                sd.add_edge(n, comp, 1, 1)
-            else:
-                sd.vertices[arrow].label = o.ident
-            return
-        kids = forest.children(o.ident)
-        n = promote(arrow)
-        curve = sd.new_vertex("arrow", o.ident)
-        sd.add_edge(n, curve, 1, 1)
-        if not kids:
-            stub = sd.new_vertex("stub")
-            sd.add_edge(n, stub, o.winding, 1)
-            return
-        cont = sd.new_vertex("arrow")
-        rest = sd.add_edge(n, cont, o.winding, 1)
-        if len(kids) == 1:
-            process(kids[0], cont)
-            return
-        # fan-out: the copies are parallel fibers of one torus, so they do
-        # not link each other; weight 0 back toward the parent encodes that
-        m = promote(cont)
-        sd.set_weight_at(rest, m, 0)
-        for k in kids:
+    cont: dict[int, int] = {}  # oval id -> the vertex its children hang from
+    for o in forest.walk:
+        arrow = cont[o.parent] if o.parent else sd.new_vertex("arrow")
+        if sd.vertices[arrow].kind == "node":  # a fan-out node
             branch = sd.new_vertex("arrow")
-            sd.add_edge(m, branch, 1, 1)
-            process(k, branch)
-
-    for r in forest.roots():
-        bare = sd.new_vertex("arrow")
-        process(r, bare)
+            sd.add_edge(arrow, branch, 1, 1)
+            arrow = branch
+        if o.fiber and o.winding == 1:
+            sd.vertices[arrow].label = o.ident
+            continue
+        # the arrowhead's only edge already has weight 1 at this end
+        sd.vertices[arrow].kind = "node"
+        if o.fiber:
+            sd.add_edge(arrow, sd.new_vertex("stub"), -1, 1)
+            sd.add_edge(arrow, sd.new_vertex("arrow", o.ident), 1, 1)
+            continue
+        sd.add_edge(arrow, sd.new_vertex("arrow", o.ident), 1, 1)
+        kids = forest.children(o.ident)
+        if not kids:
+            sd.add_edge(arrow, sd.new_vertex("stub"), o.winding, 1)
+            continue
+        cont[o.ident] = sd.new_vertex("arrow")
+        rest = sd.add_edge(arrow, cont[o.ident], o.winding, 1)
+        if len(kids) >= 2:
+            # fan-out: the copies are parallel fibers of one torus, so they
+            # do not link each other; weight 0 back toward the parent
+            # encodes that
+            sd.vertices[cont[o.ident]].kind = "node"
+            rest.w2 = 0
     return sd
-
-
-def _splice_path(sd: SpliceDiagram, a: int, b: int) -> list[int] | None:
-    prev: dict[int, int | None] = {a: None}
-    queue = [a]
-    while queue:
-        v = queue.pop(0)
-        if v == b:
-            path = [v]
-            while prev[path[-1]] is not None:
-                path.append(prev[path[-1]])
-            return list(reversed(path))
-        for e in sd.incident(v):
-            u = sd.neighbor(e, v)
-            if u not in prev:
-                prev[u] = v
-                queue.append(u)
-    return None
 
 
 def linking_from_splice(sd: SpliceDiagram) -> tuple[list[int], list[list[int]]]:
     """Linking matrix of the arrow components, rows ordered by label.
 
-    Arrows in different trees of the diagram do not link.
+    One walk of the tree from each arrow carries, to every vertex it
+    reaches, the product of the weights at the interior vertices of the
+    path on the edges that leave it.  Arrows in different trees of the
+    diagram do not link.
     """
     arrows = sd.arrows()
     labels = [sd.vertices[v].label for v in arrows]
     if any(l is None for l in labels):
         raise OvalError("unlabeled arrow in splice diagram")
-    n = len(arrows)
-    m = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            path = _splice_path(sd, arrows[i], arrows[j])
-            if path is None:
-                continue
-            prod = 1
-            onpath = set(zip(path, path[1:])) | set(zip(path[1:], path))
-            for v in path[1:-1]:
-                for e in sd.incident(v):
-                    u = sd.neighbor(e, v)
-                    if (v, u) in onpath:
-                        continue
-                    prod *= sd.weight_at(e, v)
-            m[i][j] = m[j][i] = prod
+    row_of = {v: k for k, v in enumerate(arrows)}
+    m = [[0] * len(arrows) for _ in arrows]
+    for a in arrows:
+        todo = [(u, a, 1) for u in sd.adjacent[a]]
+        while todo:
+            v, prev, prod = todo.pop()
+            if v in row_of:
+                m[row_of[a]][row_of[v]] = prod
+            out = {u: e.weight_at(v) for u, e in sd.adjacent[v].items() if u != prev}
+            zeros = sum(w == 0 for w in out.values())
+            nonzero = math.prod(w for w in out.values() if w)
+            # on to u: times every weight leaving v but the one toward u
+            todo.extend((u, v, 0 if zeros > (w == 0) else prod * (nonzero // w if w else nonzero))
+                        for u, w in out.items())
     return labels, m
 
 
@@ -340,39 +315,31 @@ def simplify_splice(sd: SpliceDiagram) -> SpliceDiagram:
     minimal two-component picture keeps its central node.  Both moves
     leave every pairwise linking number unchanged.
     """
+    copies = {id(e): SpliceEdge(e.v1, e.v2, e.w1, e.w2) for e in sd.edges}
     out = SpliceDiagram({v: SpliceVertex(sv.ident, sv.kind, sv.label) for v, sv in sd.vertices.items()},
-                        [SpliceEdge(e.v1, e.v2, e.w1, e.w2) for e in sd.edges], sd._next)
+                        {v: {u: copies[id(e)] for u, e in nbrs.items()} for v, nbrs in sd.adjacent.items()},
+                        sd._next)
     changed = True
     while changed:
         changed = False
         for v, sv in list(out.vertices.items()):
             if sv.kind != "stub":
                 continue
-            (e,) = out.incident(v)
-            n = out.neighbor(e, v)
-            if out.weight_at(e, n) == 1:
-                out.edges.remove(e)
-                del out.vertices[v]
+            ((n, e),) = out.adjacent[v].items()
+            if e.weight_at(n) == 1:
+                out.remove_vertex(v)
                 changed = True
                 break
         if changed:
             continue
         for v, sv in list(out.vertices.items()):
-            if sv.kind != "node":
+            if sv.kind != "node" or len(out.adjacent[v]) != 2:
                 continue
-            inc = out.incident(v)
-            if len(inc) != 2:
-                continue
-            e1, e2 = inc
-            n1, n2 = out.neighbor(e1, v), out.neighbor(e2, v)
+            (n1, e1), (n2, e2) = out.adjacent[v].items()
             if out.vertices[n1].kind == "arrow" and out.vertices[n2].kind == "arrow":
                 continue
-            w1 = out.weight_at(e1, n1)
-            w2 = out.weight_at(e2, n2)
-            out.edges.remove(e1)
-            out.edges.remove(e2)
-            del out.vertices[v]
-            out.add_edge(n1, n2, w1, w2)
+            out.remove_vertex(v)
+            out.add_edge(n1, n2, e1.weight_at(n1), e2.weight_at(n2))
             changed = True
             break
     return out
@@ -414,18 +381,11 @@ def random_realizable_forest(rng, max_ovals: int = 6) -> OvalForest:
             parent = rng.choice(hosts)
         fiber = parent != 0 and rng.random() < 0.25
         ovals.append({"ident": ident, "parent": parent, "fiber": fiber,
+                      "depth": ovals[parent - 1]["depth"] + 1 if parent else 0,
                       "winding": rng.choice([-1, 1]) if fiber else rng.randint(-3, 3)})
 
-    def depth(ident: int) -> int:
-        d = 0
-        p = ovals[ident - 1]["parent"]
-        while p != 0:
-            d += 1
-            p = ovals[p - 1]["parent"]
-        return d
-
-    for o in sorted(ovals, key=lambda o: -depth(o["ident"])):
-        if o["fiber"] or depth(o["ident"]) % 2 == 0:
+    for o in sorted(ovals, key=lambda o: -o["depth"]):
+        if o["fiber"] or o["depth"] % 2 == 0:
             continue
         kids = [c for c in ovals if c["parent"] == o["ident"]]
         o["winding"] = sum(c["winding"] for c in kids)

@@ -1,6 +1,7 @@
 """Every public function in the package has a caller outside its own body.
 
-A name counts as used when it appears as a name, an attribute, an imported
+A name counts as used when it appears as a name, an attribute of a cbound
+module (``braids.f``, ``api.braids.f``, ``cbound.braids.f``), an imported
 name, or a string holding a name or a dotted path (the benchmark's tracer
 lists functions that way) in ``src/``, ``bench/``, the acceptance gate or
 the test configuration.  Unit tests alone do not keep a function alive:
@@ -13,6 +14,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "cbound"
+MODULES = {path.stem for path in PACKAGE.glob("*.py")}
 USERS = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "bench").glob("*.py")) + [
     ROOT / "tests" / "test_acceptance.py",
     ROOT / "tests" / "conftest.py",
@@ -29,7 +31,7 @@ def _names(node, skip=None):
             continue
         if isinstance(n, ast.Name):
             out.add(n.id)
-        elif isinstance(n, ast.Attribute):
+        elif isinstance(n, ast.Attribute) and getattr(n.value, "id", getattr(n.value, "attr", None)) in MODULES:
             out.add(n.attr)
         elif isinstance(n, ast.alias):
             out.add(n.name)
@@ -50,3 +52,9 @@ def test_every_public_function_has_a_caller():
                 if fn.name not in others | _names(trees[path], skip=fn):
                     uncalled.append("%s.%s" % (path.stem, fn.name))
     assert uncalled == []
+
+
+def test_an_attribute_counts_only_on_a_module():
+    assert "reverse" not in _names(ast.parse("path.reverse()"))
+    for use in ["braids.reverse(b)", "api.braids.reverse(b)", "cbound.braids.reverse(b)"]:
+        assert "reverse" in _names(ast.parse(use)), use

@@ -22,6 +22,13 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def cli(*argv, timeout=60):
+    """Run ``python -m cbound.cli`` in a fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "cbound.cli", *argv], capture_output=True, text=True,
+                          env=env, timeout=timeout)
+
+
 def test_homfly_literal(capsys):
     code, out, _ = run(capsys, "homfly", "BR[2,{1,1,1}]")
     assert code == 0
@@ -174,6 +181,15 @@ def test_missing_file_exit_code(capsys):
     pytest.param(["qp-obstruct", "BR[3,{1,-2,1,-2,1}]"], "qp-obstruct.out", id="qp-obstruct"),
     pytest.param(["qp-obstruct", "BR[3,{1,-2,1,-2,1}]", "--machine"], "qp-obstruct.machine.out",
                  id="qp-obstruct-machine"),
+    *(pytest.param(["ovals", stage, "{fixtures}/%s.ovals" % name, *extra, *machine],
+                   "ovals/%s%s.%s%s.out" % (stage, variant, name, ".machine" if machine else ""),
+                   id="ovals-%s%s-%s%s" % (stage, variant, name, "-machine" if machine else ""))
+      for stage, variant, extra in [("realize", "", []), ("cable", "", []), ("splice", "", []),
+                                    ("embed", "", []),
+                                    ("embed", "-induced", ["--orientation", "induced"]),
+                                    ("embed", "-s2", ["--samples-scale", "2", "--seed", "3"])]
+      for name in ["hopf", "wermer", "wermer_conj"]
+      for machine in [[], ["--machine"]]),
 ])
 def test_report_matches_golden_stdout(capsys, fixtures_dir, argv, golden):
     code, out, _ = run(capsys, *(a.replace("{fixtures}", str(fixtures_dir)) for a in argv))
@@ -222,9 +238,7 @@ def test_homfly_on_a_1199_crossing_unknot_needs_no_recursion(capsys):
 
 
 def test_homfly_on_a_huge_torus_knot_ends_in_a_documented_exit_code():
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-m", "cbound.cli", "homfly", _braid_arg(2, [1] * 1501)],
-                          capture_output=True, text=True, env=env, timeout=120)
+    proc = cli("homfly", _braid_arg(2, [1] * 1501), timeout=120)
     assert proc.returncode in (0, 2), proc.stderr
     assert "Traceback" not in proc.stderr
     if proc.returncode == 2:
@@ -252,9 +266,7 @@ def test_skein_budget_bounds_the_time_of_a_200_crossing_word(capsys):
     (["homfly", "BR[2,{1,1,1}]"], 0),
 ])
 def test_process_exit_codes(argv, code):
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-m", "cbound.cli", *argv], capture_output=True, text=True,
-                          env=env, timeout=60)
+    proc = cli(*argv)
     assert proc.returncode == code, proc.stderr
 
 
@@ -277,3 +289,58 @@ def test_table1_machine_mode(capsys, fixtures_dir):
     assert code == 0
     assert "row.2_1.Q=yes" in out
     assert "mismatches=0" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["homfly", "BR[2,{1,1\u00b2}]"],
+    ["lk", "PD[X[1,2,3,4\u00b2]]"],
+])
+def test_superscript_digits_are_a_parse_error(argv):
+    proc = cli(*argv)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+
+
+def test_a_long_mirror_chain_in_a_kb_needs_no_recursion(capsys, tmp_path):
+    kb = tmp_path / "chain.kb"
+    kb.write_text("".join("link L%d\nbraid BR[2,{%d}]\n%s\n"
+                          % (k, (-1) ** k, "mirror-of L%d" % (k + 1) if k < 1499 else "")
+                          for k in range(1500)))
+    code, out, err = run(capsys, "classify", str(kb))
+    assert code == 0 and err == ""
+    assert "L1499" in out
+
+
+def test_a_mirror_cycle_in_a_kb_is_an_error(capsys, tmp_path):
+    kb = tmp_path / "cycle.kb"
+    kb.write_text("link A\nbraid BR[2,{1}]\nmirror-of B\n\nlink B\nbraid BR[2,{-1}]\nmirror-of A\n")
+    code, out, err = run(capsys, "classify", str(kb))
+    assert code == 1 and out == ""
+    assert err == "error: cyclic relation through A\n"
+
+
+def _write_forest(path, parents, windings):
+    path.write_text("".join("%d %d %d\n" % (k + 1, p, w) for k, (p, w) in enumerate(zip(parents, windings))))
+    return str(path)
+
+
+@pytest.mark.parametrize("stage", ["cable", "embed"])
+def test_ovals_on_a_1500_deep_chain_end_without_a_traceback(tmp_path, stage):
+    chain = _write_forest(tmp_path / "chain.ovals", range(1500), [1] * 1500)
+    proc = cli("ovals", stage, chain, timeout=120)
+    assert proc.returncode in (0, 1), proc.stderr
+    assert "Traceback" not in proc.stderr
+    if stage == "cable":
+        assert proc.stdout.splitlines() == ["add_retain(+1) @%d" % k for k in range(1, 1500)] + ["add_remove(+1) @1500"]
+
+
+@pytest.mark.parametrize("shape", ["chain", "random"])
+def test_ovals_splice_on_300_ovals_is_fast(tmp_path, shape):
+    rng = random.Random(300)
+    parents = range(300) if shape == "chain" else [rng.randrange(k) for k in range(1, 301)]
+    forest = _write_forest(tmp_path / "f.ovals", parents, [rng.randint(-3, 3) for _ in range(300)])
+    t0 = time.perf_counter()
+    proc = cli("ovals", "splice", forest, "--machine")
+    assert time.perf_counter() - t0 < 5.0
+    assert proc.returncode == 0, proc.stderr
+    assert sum(line.startswith("lk.") for line in proc.stdout.splitlines()) == 300

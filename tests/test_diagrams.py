@@ -2,7 +2,7 @@
 
 import random
 
-from cbound.braids import BraidWord
+from cbound.braids import BraidWord, perm_cycles, perm_of
 from cbound.diagrams import (
     Diagram,
     from_braid,
@@ -225,3 +225,41 @@ def test_walk_components_matches_reference():
     for b in _seeded_words(11, 300, 5, 14):
         d = from_braid(b)
         assert walk_components(d.crossings) == reference_walk_components(d.crossings)
+
+
+def reference_from_braid(b):
+    """Closure with components matched to the permutation's cycles."""
+    n = b.strands
+    cur = list(range(1, n + 1))
+    nxt = n + 1
+    crossings = []
+    for x in b.letters:
+        i = abs(x)
+        a, bb = cur[i - 1], cur[i]
+        xa, ya = nxt, nxt + 1
+        nxt += 2
+        crossings.append((a, ya, bb, xa, 1) if x > 0 else (bb, xa, a, ya, -1))
+        cur[i - 1], cur[i] = xa, ya
+    rename = {cur[p]: p + 1 for p in range(n) if cur[p] != p + 1}
+    free = n - len(rename)
+    crossings = [tuple(rename.get(a, a) for a in c[:4]) + (c[4],) for c in crossings]
+    comps_by_min = walk_components(crossings)
+    used = [cyc for cyc in perm_cycles(perm_of(b)) if cur[cyc[0]] != cyc[0] + 1]
+    first = [cyc for cyc in used if 0 in cyc]
+    rest = sorted((cyc for cyc in used if 0 not in cyc), key=lambda cyc: -min(cyc))
+    order = []
+    for cyc in first + rest:
+        (comp,) = [c for c in comps_by_min if min(cyc) + 1 in c]
+        j = comp.index(min(cyc) + 1)
+        order.append(comp[j:] + comp[:j])
+    return Diagram(crossings, order, free)
+
+
+def test_from_braid_matches_cycle_matching_reference():
+    rng = random.Random(31)
+    for _ in range(5000):
+        n = rng.randint(1, 7)
+        letters = () if n == 1 else tuple(rng.choice((1, -1)) * rng.randint(1, n - 1)
+                                          for _ in range(rng.randint(0, 16)))
+        b = BraidWord(n, letters)
+        assert _fields(from_braid(b)) == _fields(reference_from_braid(b)), b

@@ -17,6 +17,8 @@ from cbound.splice import (
     Oval,
     OvalError,
     OvalForest,
+    SpliceEdge,
+    SpliceVertex,
     cabling_program,
     induced_windings,
     linking_from_splice,
@@ -166,3 +168,213 @@ def test_generator_covers_wide_windings():
 def test_duplicate_idents_rejected():
     with pytest.raises(OvalError):
         OvalForest([Oval(1, 0, 1), Oval(1, 0, 2)])
+
+
+# -- the recursive construction and per-pair path search, kept as references --
+
+
+class _ReferenceDiagram:
+    """Splice diagram with a flat edge list, scanned for every lookup."""
+
+    def __init__(self, vertices=None, edges=None, next_id=1):
+        self.vertices = vertices or {}
+        self.edges = edges or []
+        self._next = next_id
+
+    def new_vertex(self, kind, label=None):
+        v = self._next
+        self._next += 1
+        self.vertices[v] = SpliceVertex(v, kind, label)
+        return v
+
+    def add_edge(self, v1, v2, w1, w2):
+        e = SpliceEdge(v1, v2, w1, w2)
+        self.edges.append(e)
+        return e
+
+    def incident(self, v):
+        return [e for e in self.edges if v in (e.v1, e.v2)]
+
+    def neighbor(self, e, v):
+        return e.v2 if e.v1 == v else e.v1
+
+    def weight_at(self, e, v):
+        return e.w1 if e.v1 == v else e.w2
+
+    def set_weight_at(self, e, v, w):
+        if e.v1 == v:
+            e.w1 = w
+        else:
+            e.w2 = w
+
+    def arrows(self):
+        return sorted((v for v, sv in self.vertices.items() if sv.kind == "arrow"),
+                      key=lambda v: self.vertices[v].label or 0)
+
+
+def reference_splice_diagram(forest):
+    sd = _ReferenceDiagram()
+
+    def promote(arrow):
+        sd.vertices[arrow] = SpliceVertex(arrow, "node")
+        for e in sd.incident(arrow):
+            sd.set_weight_at(e, arrow, 1)
+        return arrow
+
+    def process(o, arrow):
+        if o.fiber:
+            if o.winding == -1:
+                n = promote(arrow)
+                stub = sd.new_vertex("stub")
+                sd.add_edge(n, stub, -1, 1)
+                comp = sd.new_vertex("arrow", o.ident)
+                sd.add_edge(n, comp, 1, 1)
+            else:
+                sd.vertices[arrow].label = o.ident
+            return
+        kids = sorted((k for k in forest.ovals if k.parent == o.ident), key=lambda k: k.ident)
+        n = promote(arrow)
+        curve = sd.new_vertex("arrow", o.ident)
+        sd.add_edge(n, curve, 1, 1)
+        if not kids:
+            stub = sd.new_vertex("stub")
+            sd.add_edge(n, stub, o.winding, 1)
+            return
+        cont = sd.new_vertex("arrow")
+        rest = sd.add_edge(n, cont, o.winding, 1)
+        if len(kids) == 1:
+            process(kids[0], cont)
+            return
+        m = promote(cont)
+        sd.set_weight_at(rest, m, 0)
+        for k in kids:
+            branch = sd.new_vertex("arrow")
+            sd.add_edge(m, branch, 1, 1)
+            process(k, branch)
+
+    for r in sorted((o for o in forest.ovals if o.parent == 0), key=lambda o: o.ident):
+        process(r, sd.new_vertex("arrow"))
+    return sd
+
+
+def reference_simplify_splice(sd):
+    out = _ReferenceDiagram({v: SpliceVertex(sv.ident, sv.kind, sv.label) for v, sv in sd.vertices.items()},
+                            [SpliceEdge(e.v1, e.v2, e.w1, e.w2) for e in sd.edges], sd._next)
+    changed = True
+    while changed:
+        changed = False
+        for v, sv in list(out.vertices.items()):
+            if sv.kind != "stub":
+                continue
+            (e,) = out.incident(v)
+            n = out.neighbor(e, v)
+            if out.weight_at(e, n) == 1:
+                out.edges.remove(e)
+                del out.vertices[v]
+                changed = True
+                break
+        if changed:
+            continue
+        for v, sv in list(out.vertices.items()):
+            if sv.kind != "node":
+                continue
+            inc = out.incident(v)
+            if len(inc) != 2:
+                continue
+            e1, e2 = inc
+            n1, n2 = out.neighbor(e1, v), out.neighbor(e2, v)
+            if out.vertices[n1].kind == "arrow" and out.vertices[n2].kind == "arrow":
+                continue
+            w1 = out.weight_at(e1, n1)
+            w2 = out.weight_at(e2, n2)
+            out.edges.remove(e1)
+            out.edges.remove(e2)
+            del out.vertices[v]
+            out.add_edge(n1, n2, w1, w2)
+            changed = True
+            break
+    return out
+
+
+def _reference_path(sd, a, b):
+    prev = {a: None}
+    queue = [a]
+    while queue:
+        v = queue.pop(0)
+        if v == b:
+            path = [v]
+            while prev[path[-1]] is not None:
+                path.append(prev[path[-1]])
+            return list(reversed(path))
+        for e in sd.incident(v):
+            u = sd.neighbor(e, v)
+            if u not in prev:
+                prev[u] = v
+                queue.append(u)
+    return None
+
+
+def reference_linking_from_splice(sd):
+    arrows = sd.arrows()
+    labels = [sd.vertices[v].label for v in arrows]
+    n = len(arrows)
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            path = _reference_path(sd, arrows[i], arrows[j])
+            if path is None:
+                continue
+            prod = 1
+            onpath = set(zip(path, path[1:])) | set(zip(path[1:], path))
+            for v in path[1:-1]:
+                for e in sd.incident(v):
+                    u = sd.neighbor(e, v)
+                    if (v, u) not in onpath:
+                        prod *= sd.weight_at(e, v)
+            m[i][j] = m[j][i] = prod
+    return labels, m
+
+
+def _shuffled_forest(rng, max_ovals):
+    """Any forest of 2 to max_ovals ovals: ids are a random relabelling, so
+    parents may carry larger ids than their children, and the list order is
+    shuffled."""
+    n = rng.randint(2, max_ovals)
+    names = rng.sample(range(1, 3 * n), n)
+    ovals = []
+    for k in range(n):
+        hosts = [o for o in ovals if not o.fiber]
+        parent = rng.choice(hosts).ident if hosts and rng.random() < 0.75 else 0
+        fiber = parent != 0 and rng.random() < 0.25
+        winding = rng.choice([-1, 1]) if fiber else rng.randint(-3, 3)
+        ovals.append(Oval(names[k], parent, winding, fiber=fiber))
+    rng.shuffle(ovals)
+    return OvalForest(ovals)
+
+
+@pytest.mark.parametrize("draw", [random_realizable_forest, _shuffled_forest])
+def test_splice_matches_the_recursive_reference(draw):
+    rng = random.Random(11)
+    for _ in range(1000):
+        f = draw(rng, 9)
+        raw, ref_raw = splice_diagram(f), reference_splice_diagram(f)
+        assert render_splice(raw) == render_splice(ref_raw)
+        assert linking_from_splice(raw) == reference_linking_from_splice(ref_raw)
+        simple, ref_simple = simplify_splice(raw), reference_simplify_splice(ref_raw)
+        assert render_splice(simple) == render_splice(ref_simple)
+        assert linking_from_splice(simple) == reference_linking_from_splice(ref_simple)
+
+
+def test_wide_and_deep_forests_need_no_recursion():
+    rng = random.Random(1)
+    wide = OvalForest([Oval(k, rng.randrange(k), rng.randint(-3, 3)) for k in range(1, 301)])
+    assert splice_lk(wide) == ancestry_lk(wide)
+    deep = OvalForest([Oval(k, k - 1, (-1) ** k) for k in range(1, 1501)])
+    assert deep.depth(1500) == 1499
+    assert [op.oval for op in cabling_program(deep)] == list(range(1, 1501))
+    sd = simplify_splice(splice_diagram(deep))
+    assert [sd.vertices[v].label for v in sd.arrows()] == list(range(1, 1501))
+    # down a chain, two ovals link by the winding of the inner one
+    chain = OvalForest(deep.ovals[:400])
+    assert splice_lk(chain) == [[0 if i == j else (-1) ** max(i + 1, j + 1) for j in range(400)]
+                                for i in range(400)]
