@@ -25,7 +25,7 @@ from .classify import (
 )
 from .diagrams import Diagram, DiagramError, from_braid, linking_matrix
 from .embed import EmbedError, linking_by_id, oval_link_pd, render_svg
-from .homfly import DEFAULT_SKEIN_BUDGET, BudgetExceeded, homfly
+from .homfly import DEFAULT_SKEIN_BUDGET, HECKE_MAX_STRANDS, BudgetExceeded, homfly, homfly_braid
 from .notation import ParseError, parse_braid, parse_ovals, parse_pd, render_braid, render_pd, render_poly
 from .splice import (
     OvalError,
@@ -83,7 +83,12 @@ def _solo_row(args):
 
 
 def cmd_homfly(args) -> int:
-    _emit_poly(args, homfly(_load_diagram(args.input, args.unknots), args.skein_budget))
+    text = _load_text(args.input).strip()
+    if text.startswith("BR"):
+        p = homfly_braid(parse_braid(text), args.skein_budget)
+    else:
+        p = homfly(parse_pd(text, args.unknots), args.skein_budget)
+    _emit_poly(args, p)
     return 0
 
 
@@ -256,7 +261,8 @@ def _option(flag: str, **kw) -> argparse.ArgumentParser:
 def build_parser() -> argparse.ArgumentParser:
     machine = _option("--machine", action="store_true", help="key=value output")
     skein = _option("--skein-budget", type=int, default=DEFAULT_SKEIN_BUDGET, dest="skein_budget",
-                    help="crossings charged per expanded skein node")
+                    help="crossings per expanded skein node, or Hecke coefficients written on braids "
+                         "of up to %d strands" % HECKE_MAX_STRANDS)
     search = _option("--search-budget", type=int, default=DEFAULT_SEARCH_BUDGET, dest="search_budget",
                      help="node cap for the chi search")
     seed = _option("--seed", type=int, default=0, help="projection chart seed")

@@ -60,6 +60,11 @@ _MAX_SAMPLES = 1 << 15
 _CHUNK = 8  # consecutive segments per box
 _PAD = 0.015  # added on every side of a box
 _BATCH = 2048  # chunk pairs per exact-test batch, at most 2048 * 64 cells
+# Smallest radius auto_geometry places.  A chain given without geometry
+# projects at depth 15 (radius 1.0e-7) and at depth 16 (3.5e-8) no chart is
+# generic; a few levels further the radii fall through check_geometry's
+# 1e-9 tolerance and then underflow to 0.
+_MIN_AUTO_RADIUS = 1e-7
 _CELL_I, _CELL_J = np.divmod(np.arange(_CHUNK * _CHUNK), _CHUNK)
 
 
@@ -68,7 +73,8 @@ def auto_geometry(forest: OvalForest) -> OvalForest:
 
     Roots go on a circle around the origin (or at the origin when there is
     only one); children sit on a circle of 0.55 times the parent radius,
-    shrunk by the sibling count.  Existing geometry is kept as-is.
+    shrunk by the sibling count.  Existing geometry is kept as-is.  An oval
+    whose disk would come out smaller than _MIN_AUTO_RADIUS is an error.
     """
     if all(o.has_geometry for o in forest.ovals):
         check_geometry(forest)
@@ -96,6 +102,12 @@ def auto_geometry(forest: OvalForest) -> OvalForest:
                 x = cx + 0.55 * r * math.cos(ang)
                 y = cy + 0.55 * r * math.sin(ang)
             placed[o.ident] = (x, y, 0.0 if o.fiber else 0.35 * r / s)
+            if not o.fiber and 0.35 * r / s < _MIN_AUTO_RADIUS:
+                raise OvalError(
+                    "oval %d at depth %d is nested too deep to place without geometry "
+                    "(its radius would be %.1e); give cx cy r for every oval in the oval file"
+                    % (o.ident, forest.depth(o.ident), 0.35 * r / s)
+                )
     out = OvalForest([Oval(o.ident, o.parent, o.winding, o.fiber,
                            placed[o.ident][0], placed[o.ident][1], placed[o.ident][2])
                       for o in forest.ovals])

@@ -1,4 +1,4 @@
-"""HOMFLY polynomial via a memoized descending-diagram skein evaluation.
+"""HOMFLY polynomial of braid closures and of planar diagrams.
 
 Normalization: the unknot has polynomial 1 and the skein relation is
 
@@ -6,16 +6,28 @@ Normalization: the unknot has polynomial 1 and the skein relation is
 
 so a split unlink of m circles evaluates to ((1/v - v)/z)^(m-1).
 
-Every node of the skein tree is first cleaned of kinks and cancelling
-clasps (``simplify_diagram``) and then relabelled canonically, which keys a
-memo that belongs to one ``homfly`` call: a subdiagram reached twice is
-evaluated once.  A node walks every component from its smallest arc and
-switches or smooths the first crossing met on an under-strand first;
-descending diagrams close up into unlinks.  The tree is walked with an
-explicit stack, so deep trees need no Python recursion.
+Two routes compute it:
 
-``budget`` is counted in crossings: each expanded node charges its crossing
-count (at least 1) and memo hits are free, so it bounds the work done.
+* A braid on at most ``HECKE_MAX_STRANDS`` (7) strands is multiplied out
+  in the Hecke algebra H_n and closed with the Ocneanu trace (Jones 1987,
+  as computed by Morton and Short 1990).  The cost grows with the word
+  length times the size of H_n, polynomially in the length for a fixed
+  strand count.  The word is cyclically free-reduced first.
+* A planar diagram, or a braid on more strands, goes through a memoized
+  descending-diagram skein evaluation.  Every node of the skein tree is
+  first cleaned of kinks and cancelling clasps (``simplify_diagram``) and
+  then relabelled canonically, which keys a memo that belongs to one
+  ``homfly`` call: a subdiagram reached twice is evaluated once.  A node
+  walks every component from its smallest arc and switches or smooths the
+  first crossing met on an under-strand first; descending diagrams close
+  up into unlinks.  The tree is walked with an explicit stack, so deep
+  trees need no Python recursion.  The skein also serves the tests as an
+  oracle independent of the Hecke route.
+
+One ``budget`` bounds the work of both.  The skein charges each expanded
+node its crossing count (at least 1); memo hits are free.  The Hecke route
+charges one unit per coefficient entry (a permutation and a z-degree) of
+every element it writes, in the trace too.
 """
 
 from __future__ import annotations
@@ -24,13 +36,16 @@ from .braids import BraidWord
 from .diagrams import Crossing, Diagram, from_braid, remove_crossings, simplify_diagram
 
 
-#: default skein budget, in crossings charged per expanded node
+#: default skein budget, in crossings charged per expanded node (or Hecke
+#: coefficients written, on braids routed through the Hecke algebra)
 DEFAULT_SKEIN_BUDGET = 1 << 20
+
+#: braids on at most this many strands are evaluated in the Hecke algebra
+HECKE_MAX_STRANDS = 7
 
 
 class BudgetExceeded(RuntimeError):
-    """Raised when the skein evaluation charges more crossings than its
-    budget allows."""
+    """Raised when an evaluation charges more work than its budget allows."""
 
 
 class LaurentPoly2:
@@ -216,7 +231,118 @@ def homfly(diag: Diagram, budget: int = DEFAULT_SKEIN_BUDGET) -> LaurentPoly2:
     return memo[root]
 
 
+# -- the Hecke algebra route ------------------------------------------------
+#
+# An element of H_n is a dict {w: {j: c}}: the basis element T_w of a
+# permutation w (a tuple, w[p] the value at position p) with coefficient
+# sum c*z^j.  The generators satisfy g_i^2 = z*g_i + 1, so g_i^-1 = g_i - z.
+
+Element = dict[tuple[int, ...], dict[int, int]]
+
+
+def _add_into(x: Element, w: tuple[int, ...], p: dict[int, int], dz: int = 0, sign: int = 1):
+    """x += sign * z^dz * p * T_w, dropping the terms that cancel."""
+    q = x.get(w)
+    if q is None:
+        x[w] = dict(p) if dz == 0 and sign == 1 else {j + dz: sign * c for j, c in p.items()}
+        return
+    for j, c in p.items():
+        c = q.get(j + dz, 0) + sign * c
+        if c:
+            q[j + dz] = c
+        else:
+            del q[j + dz]
+    if not q:
+        del x[w]
+
+
+def _times(x: Element, i: int, sign: int) -> Element:
+    """x * g_i for ``sign`` 1, x * g_i^-1 for -1: g_i swaps positions i-1
+    and i (0-based) of every permutation."""
+    out: Element = {}
+    for w, p in x.items():
+        _add_into(out, w[:i - 1] + (w[i], w[i - 1]) + w[i + 1:], p)
+        # T_w g_i = z T_w + T_ws at a descent, T_w g_i^-1 = T_ws - z T_w at an ascent
+        if (w[i - 1] > w[i]) == (sign > 0):
+            _add_into(out, w, p, 1, sign)
+    return out
+
+
+def _cyclically_reduced(letters: tuple[int, ...]) -> list[int]:
+    """The word with every x, -x pair cancelled, also across its ends: the
+    closure, and so the polynomial, stays the same."""
+    out: list[int] = []
+    for x in letters:
+        if out and out[-1] == -x:
+            out.pop()
+        else:
+            out.append(x)
+    lo, hi = 0, len(out)
+    while hi - lo > 1 and out[lo] == -out[hi - 1]:
+        lo, hi = lo + 1, hi - 1
+    return out[lo:hi]
+
+
+def _hecke_homfly(b: BraidWord, budget: int) -> LaurentPoly2:
+    """Polynomial of the closure of ``b`` from the Ocneanu trace of its
+    image in the Hecke algebra H_n (Jones 1987, Morton-Short 1990).
+
+    The trace tr satisfies tr(1) = 1 and tr(x g_{m-1} y) = t tr(xy) for x, y
+    in H_{m-1}.  With tr(b) = sum c_kj t^k z^j, e the writhe and
+    c = UNLINK_FACTOR, P = v^e sum c_kj z^j c^(n-1-k) v^-k.
+    """
+    n = b.strands
+    letters = _cyclically_reduced(b.letters)
+    charged = 0
+
+    def charge(x: Element, where: str):
+        nonlocal charged
+        charged += sum(len(p) for p in x.values())
+        if charged > budget:
+            raise BudgetExceeded(
+                "skein budget of %d crossings ran out %s of %d letters (%d Hecke coefficients)"
+                % (budget, where, len(letters), charged)
+            )
+
+    x: Element = {tuple(range(n)): {0: 1}}
+    for step, s in enumerate(letters, 1):
+        x = _times(x, abs(s), 1 if s > 0 else -1)
+        charge(x, "after %d" % step)
+    # Take H_m down to H_{m-1}, m = n, ..., 2.  If w has the value m-1 at
+    # position k, T_w = T_u g_{m-1} g_{m-2} ... g_{k+1} with u = w less that
+    # value, whose trace is t * tr(T_u g_{m-2} ... g_{k+1}); layers[d] holds
+    # the part that carries t^d.
+    layers = [x]
+    for m in range(n, 1, -1):
+        down: list[Element] = [{} for _ in range(len(layers) + 1)]
+        for d, layer in enumerate(layers):
+            by_position: dict[int, Element] = {}
+            for w, p in layer.items():
+                k = w.index(m - 1)
+                by_position.setdefault(k, {})[w[:k] + w[k + 1:]] = p
+            for k, y in by_position.items():
+                for i in range(m - 2, k, -1):
+                    y = _times(y, i, 1)
+                    charge(y, "in the trace, after all")
+                for u, p in y.items():
+                    _add_into(down[d + (k < m - 1)], u, p)
+        layers = down
+        for y in layers:
+            charge(y, "in the trace, after all")
+    e = b.writhe
+    out, power = LaurentPoly2(), ONE  # power = c^(n-1-d)
+    for d in range(n - 1, -1, -1):
+        trace_d = layers[d].get((0,), {})
+        out = out + LaurentPoly2({(e - d, j): c for j, c in trace_d.items()}) * power
+        power = power * UNLINK_FACTOR
+    return out
+
+
 def homfly_braid(b: BraidWord, budget: int = DEFAULT_SKEIN_BUDGET) -> LaurentPoly2:
+    """Polynomial of the closure of ``b``: in the Hecke algebra on at most
+    HECKE_MAX_STRANDS strands, else by the skein of its closure diagram."""
+    if b.strands <= HECKE_MAX_STRANDS:
+        return _hecke_homfly(b, budget)
     return homfly(from_braid(b), budget)
 
 

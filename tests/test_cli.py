@@ -9,7 +9,10 @@ import time
 
 import pytest
 
+from cbound.braids import BraidWord
 from cbound.cli import main
+from cbound.diagrams import from_braid
+from cbound.notation import render_pd
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
@@ -198,16 +201,19 @@ def test_report_matches_golden_stdout(capsys, fixtures_dir, argv, golden):
 
 
 def test_qp_obstruct_evaluates_the_polynomial_once(capsys, monkeypatch):
+    import cbound.classify
+    import cbound.cli
     import cbound.homfly
 
     sizes = []
-    real = cbound.homfly.homfly
+    real = cbound.homfly.homfly_braid
 
-    def counting(diag, *args, **kwargs):
-        sizes.append(len(diag.crossings))
-        return real(diag, *args, **kwargs)
+    def counting(b, *args, **kwargs):
+        sizes.append(len(b))
+        return real(b, *args, **kwargs)
 
-    monkeypatch.setattr(cbound.homfly, "homfly", counting)
+    for module in (cbound.homfly, cbound.classify, cbound.cli):
+        monkeypatch.setattr(module, "homfly_braid", counting)
     code, out, _ = run(capsys, "qp-obstruct", "BR[3,{1,-2,1,-2,1}]")
     assert code == 0 and "verdict: refuted" in out
     assert sizes.count(5) == 1
@@ -246,18 +252,32 @@ def test_homfly_on_a_huge_torus_knot_ends_in_a_documented_exit_code():
         assert proc.stderr.startswith("budget exceeded: skein budget of 1048576 crossings ran out")
 
 
-def test_skein_budget_bounds_the_time_of_a_200_crossing_word(capsys):
+def test_skein_budget_bounds_the_time_of_a_200_crossing_word(capsys, tmp_path):
     rng = random.Random(5)
     letters = []
     while len(letters) < 200:
         x = rng.choice((1, -1)) * rng.randint(1, 3)
         if not letters or letters[-1] != -x:
             letters.append(x)
+    # as a PD file, so that the skein evaluates it
+    pd = tmp_path / "word.pd"
+    pd.write_text(render_pd(from_braid(BraidWord(4, tuple(letters)))))
     t0 = time.perf_counter()
-    code, out, err = run(capsys, "homfly", _braid_arg(4, letters), "--skein-budget", "20000")
+    code, out, err = run(capsys, "homfly", str(pd), "--skein-budget", "20000")
     assert time.perf_counter() - t0 < 2.0
     assert code == 2 and out == ""
     assert "nodes expanded" in err and "memo hits" in err
+
+
+def test_skein_budget_bounds_the_time_of_a_10000_letter_word_on_7_strands(capsys):
+    rng = random.Random(10000)
+    letters = [rng.choice((1, -1)) * rng.randint(1, 6) for _ in range(10000)]
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "homfly", _braid_arg(7, letters))
+    assert time.perf_counter() - t0 < 5.0
+    assert code == 2 and out == ""
+    assert err.startswith("budget exceeded: skein budget of 1048576 crossings ran out after ")
+    assert " letters (" in err and " Hecke coefficients)" in err
 
 
 @pytest.mark.parametrize("argv, code", [
@@ -332,6 +352,17 @@ def test_ovals_on_a_1500_deep_chain_end_without_a_traceback(tmp_path, stage):
     assert "Traceback" not in proc.stderr
     if stage == "cable":
         assert proc.stdout.splitlines() == ["add_retain(+1) @%d" % k for k in range(1, 1500)] + ["add_remove(+1) @1500"]
+
+
+@pytest.mark.parametrize("depth", [30, 1500])
+def test_ovals_embed_on_a_deep_chain_without_geometry_asks_for_it(tmp_path, depth):
+    chain = _write_forest(tmp_path / "chain.ovals", range(depth), [1] * depth)
+    t0 = time.perf_counter()
+    proc = cli("ovals", "embed", chain)
+    assert time.perf_counter() - t0 < 10.0
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == ("error: oval 17 at depth 16 is nested too deep to place without geometry "
+                           "(its radius would be 3.5e-08); give cx cy r for every oval in the oval file\n")
 
 
 @pytest.mark.parametrize("shape", ["chain", "random"])

@@ -52,6 +52,13 @@ def test_auto_geometry_fills_circles():
     assert by_id[3].r < by_id[2].r
 
 
+def test_auto_geometry_places_chains_of_16_ovals_and_no_deeper():
+    chain = [Oval(k, k - 1, 1) for k in range(1, 17)]
+    check_geometry(auto_geometry(OvalForest(chain)))
+    with pytest.raises(OvalError, match=r"^oval 17 at depth 16 is nested too deep .* give cx cy r"):
+        auto_geometry(OvalForest(chain + [Oval(17, 16, 1)]))
+
+
 def test_check_geometry_rejects_overlap():
     f = OvalForest([Oval(1, 0, 1, cx=0.0, cy=0.0, r=0.5),
                     Oval(2, 0, 1, cx=0.4, cy=0.0, r=0.5)])

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from cbound.braids import BraidWord, determinant_of_closure, mirror
 from cbound.diagrams import Diagram, from_braid, remove_crossings
 from cbound.homfly import (
+    HECKE_MAX_STRANDS,
     ONE,
     UNLINK_FACTOR,
     BudgetExceeded,
@@ -242,9 +243,113 @@ def test_budget_counts_crossings_per_expanded_node():
     # the trefoil (3 crossings) smooths into the Hopf link (2), which
     # expands into the unknot and the 2-component unlink (1 each); the
     # trefoil's switched child cleans up into the unknot, a memo hit
-    trefoil = BraidWord(2, (1, 1, 1))
-    assert homfly_braid(trefoil, budget=7) == homfly_braid(trefoil)
+    trefoil = from_braid(BraidWord(2, (1, 1, 1)))
+    assert homfly(trefoil, budget=7) == homfly(trefoil)
     with pytest.raises(BudgetExceeded) as exc:
-        homfly_braid(trefoil, budget=6)
+        homfly(trefoil, budget=6)
     assert str(exc.value) == "skein budget of 6 crossings ran out after 3 nodes expanded and 0 memo hits"
 
+
+
+# -- the Hecke route against the skein ----------------------------------------
+
+
+def _skein(b):
+    """The skein on the closure diagram, which homfly_braid bypasses on at
+    most HECKE_MAX_STRANDS strands."""
+    return homfly(from_braid(b))
+
+
+def _random_word(rng, strands, length):
+    if strands == 1:
+        return BraidWord(1, ())
+    return BraidWord(strands, tuple(rng.choice((1, -1)) * rng.randint(1, strands - 1) for _ in range(length)))
+
+
+def test_hecke_route_covers_braids_up_to_the_cap(monkeypatch):
+    import cbound.homfly
+
+    def no_skein(*args, **kwargs):
+        raise AssertionError("the skein ran on a braid within the Hecke cap")
+
+    monkeypatch.setattr(cbound.homfly, "homfly", no_skein)
+    assert HECKE_MAX_STRANDS == 7
+    # stabilizations of the positive Hopf link
+    assert homfly_braid(BraidWord(7, (1, 2, 3, 4, 5, 6, 6))) == parse_poly("-v^3*z^-1 + v*z + v*z^-1")
+    with pytest.raises(AssertionError, match="the skein ran"):
+        homfly_braid(BraidWord(8, (1,)))
+
+
+@st.composite
+def hecke_words(draw):
+    n = draw(st.integers(1, HECKE_MAX_STRANDS))
+    if n == 1:
+        return BraidWord(1, ())
+    gens = st.integers(1, n - 1).flatmap(lambda i: st.sampled_from((i, -i)))
+    return BraidWord(n, tuple(draw(st.lists(gens, max_size=14))))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(hecke_words())
+def test_hecke_matches_the_skein_on_drawn_words(b):
+    p = homfly_braid(b)
+    assert p == _skein(b), b
+    # and the other way: the skein on the mirror diagram against the Hecke
+    # route on the mirror word
+    assert homfly(mirror_diagram(from_braid(b))) == homfly_braid(mirror(b)) == p.mirror_image(), b
+
+
+def test_hecke_matches_the_skein_on_seeded_words():
+    rng = random.Random(400)
+    for _ in range(400):
+        n = rng.randint(1, 5)
+        b = _random_word(rng, n, rng.randint(0, 12))
+        assert homfly_braid(b) == _skein(b), b
+
+
+def test_torus_links_are_fast_and_obey_the_mirror_rule():
+    t0 = time.perf_counter()
+    for strands, top in ((3, 100), (4, 30)):
+        cycle = tuple(range(1, strands))
+        for n in range(1, top + 1):
+            b = BraidWord(strands, cycle * n)
+            p = homfly_braid(b)
+            assert homfly_braid(mirror(b)) == p.mirror_image(), (strands, n)
+            if n <= 4:
+                assert p == _skein(b), (strands, n)
+    assert time.perf_counter() - t0 < 10.0
+
+
+def test_t_3_20_takes_well_under_a_tenth_of_a_second():
+    b = BraidWord(3, (1, 2) * 20)
+    t0 = time.perf_counter()
+    p = homfly_braid(b)
+    assert time.perf_counter() - t0 < 0.1
+    # a positive braid closure: the lowest v-degree is 1 - chi = length - strands + 1
+    assert p.ord_v == 38
+
+
+def test_a_word_times_its_inverse_closes_to_the_unlink():
+    rng = random.Random(7)
+    w = _random_word(rng, 7, 300).letters
+    inverse = tuple(-x for x in reversed(w))
+    t0 = time.perf_counter()
+    assert homfly_braid(BraidWord(7, w + inverse)) == unlink_poly(7)
+    # a conjugate, and a rotation of the same word
+    assert homfly_braid(BraidWord(7, (3, -5) + w + inverse + (5, -3))) == unlink_poly(7)
+    assert homfly_braid(BraidWord(7, (w + inverse)[100:] + (w + inverse)[:100])) == unlink_poly(7)
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_hecke_budget_counts_coefficients_written():
+    # the trefoil writes 1, 2 and 3 coefficients for its letters and 3 in
+    # the trace
+    trefoil = BraidWord(2, (1, 1, 1))
+    assert homfly_braid(trefoil, budget=9) == homfly_braid(trefoil)
+    with pytest.raises(BudgetExceeded) as exc:
+        homfly_braid(trefoil, budget=8)
+    assert str(exc.value) == ("skein budget of 8 crossings ran out in the trace, after all of 3 letters "
+                              "(9 Hecke coefficients)")
+    with pytest.raises(BudgetExceeded) as exc:
+        homfly_braid(trefoil, budget=2)
+    assert str(exc.value) == "skein budget of 2 crossings ran out after 2 of 3 letters (3 Hecke coefficients)"
