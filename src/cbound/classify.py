@@ -3,13 +3,18 @@
 Builds two-sided bounds for the slice Euler characteristic and its
 reversed-mirror variant, then runs a monotone fixpoint of membership
 rules for the three nested link classes (quasipositive, strong boundary,
-boundary).  Every yes/no cell carries derivation traces, and a report
-compares the whole ledger against expected table fixtures.
+boundary).  Seeding computes: each record's invariants, its seed bounds
+and its chi search are computed once, when its row is built.  The
+fixpoint propagates: its passes only move bounds between related rows
+and derive verdicts.  Every yes/no cell carries derivation traces, and a
+report compares the whole ledger against expected table fixtures.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
 from .braids import (
@@ -144,9 +149,7 @@ class _Bound:
         self.data[tags] = (value, why)
         return True
 
-    def best(self) -> tuple[int, str] | None:
-        if not self.data:
-            return None
+    def best(self) -> tuple[int, str]:
         pick = min if self.kind == "hi" else max
         return pick(self.data.values(), key=lambda t: t[0])
 
@@ -158,89 +161,92 @@ def _is_square(n: int) -> bool:
     return n >= 0 and math.isqrt(n) ** 2 == n
 
 
+def _cycle_linking(word: BraidWord, cycles: list[frozenset[int]]) -> list[list[int]]:
+    """Pairwise linking numbers of the components (1-based strand cycles)."""
+    which = {s - 1: k for k, cyc in enumerate(cycles) for s in cyc}
+    acc = [[0] * len(cycles) for _ in cycles]
+    occ = list(range(word.strands))
+    for x in word.letters:
+        i = abs(x)
+        a, c = occ[i - 1], occ[i]
+        ka, kc = which[a], which[c]
+        if ka != kc:
+            s = 1 if x > 0 else -1
+            acc[ka][kc] += s
+            acc[kc][ka] += s
+        occ[i - 1], occ[i] = c, a
+    return [[v // 2 for v in row] for row in acc]
+
+
 class _Row:
-    """Working state for one record: cached invariants plus bound tables."""
+    """One record's working state.
+
+    The constructor computes everything the record contributes on its own:
+    components, linking, polynomial, the seed bounds and the chi search.
+    ``poly_of`` and ``seifert_of`` are the run's memo functions, shared by
+    all rows: a knot's only component word is the record's own word, and a
+    trefoil component recurs in several links.  The fixpoint passes then
+    only propagate bounds and derive verdicts.
+    """
 
     def __init__(
         self,
         rec: LinkRecord,
-        skein_budget: int,
-        polys: dict[BraidWord, LaurentPoly2],
-        seifert: dict[BraidWord, tuple[int, int, int]],
+        poly_of: Callable[[BraidWord], LaurentPoly2],
+        seifert_of: Callable[[BraidWord], tuple[int, int, int]],
+        search_budget: int,
     ):
         self.rec = rec
-        self.word = rec.braid
-        self.skein_budget = skein_budget
-        self.perm = perm_of(self.word)
-        self.cycles = [frozenset(c + 1 for c in cyc) for cyc in perm_cycles(self.perm)]
-        self.mu = len(self.cycles)
-        self.lk = self._cycle_linking()
-        self.s_lo = _Bound("lo", self.mu)
-        self.s_hi = _Bound("hi", self.mu)
-        self.m_lo = _Bound("lo", self.mu)
-        self.m_hi = _Bound("hi", self.mu)
+        word = rec.braid
+        cycles = [frozenset(c + 1 for c in cyc) for cyc in perm_cycles(perm_of(word))]
+        self.mu = mu = len(cycles)
+        self.lk = _cycle_linking(word, cycles)
+        self.poly = poly_of(word)
+        self.nontrivial = self.poly != unlink_poly(mu)
+        self.s_lo = _Bound("lo", mu)
+        self.s_hi = _Bound("hi", mu)
+        self.m_lo = _Bound("lo", mu)
+        self.m_hi = _Bound("hi", mu)
         self.derivs: dict[str, dict[tuple[str, frozenset], Derivation]] = {c: {} for c in CLASSES}
-        # one skein evaluation and one Seifert reduction per braid word,
-        # shared by the rows of a run: a knot's only component word is the
-        # record's own word, and a trefoil component recurs in several links
-        self._polys = polys
-        self._seifert = seifert
-        self.search = None
 
-    def _cycle_linking(self) -> list[list[int]]:
-        which = {}
-        for k, cyc in enumerate(self.cycles):
-            for s in cyc:
-                which[s - 1] = k
-        acc = [[0] * self.mu for _ in range(self.mu)]
-        occ = list(range(self.word.strands))
-        for x in self.word.letters:
-            i = abs(x)
-            a, c = occ[i - 1], occ[i]
-            ka, kc = which[a], which[c]
-            if ka != kc:
-                s = 1 if x > 0 else -1
-                acc[ka][kc] += s
-                acc[kc][ka] += s
-            occ[i - 1], occ[i] = c, a
-        return [[v // 2 for v in row] for row in acc]
-
-    def poly_of(self, w: BraidWord) -> LaurentPoly2:
-        if w not in self._polys:
-            self._polys[w] = homfly_braid(w, self.skein_budget)
-        return self._polys[w]
-
-    def seifert_of(self, w: BraidWord) -> tuple[int, int, int]:
-        """(signature, nullity, determinant) of the closure of ``w``."""
-        if w not in self._seifert:
-            self._seifert[w] = seifert_invariants(w)
-        return self._seifert[w]
-
-    @property
-    def poly(self) -> LaurentPoly2:
-        return self.poly_of(self.word)
-
-    def component_word(self, k: int) -> BraidWord:
-        return sub_braid(self.word, set(self.cycles[k]))
-
-    def disk_census(self) -> tuple[int, bool]:
-        """Count components that could bound a disk on their own: zero total
-        linking with the rest, zero signature, square determinant.  Also
-        report whether any component is knotted, which decides the route tag.
-        """
+        self.s_lo.note(frozenset(), bennequin_chi(word), "banded surface of the given word")
+        sig, nul, _ = seifert_of(word)
+        # Murasugi: chi_s <= 1 - |signature| + nullity
+        self.s_hi.note(frozenset(), 1 - abs(sig) + nul, "signature bound")
+        # disk census: components that could bound a disk on their own have
+        # zero total linking with the rest, zero signature and a square
+        # determinant; a knotted component decides the route tag
         eligible = 0
         knotted = False
-        for k in range(self.mu):
-            w = self.component_word(k)
-            if w.letters and self.poly_of(w) != LaurentPoly2.const(1):
+        for k, cyc in enumerate(cycles):
+            w = sub_braid(word, cyc)
+            if w.letters and poly_of(w) != LaurentPoly2.const(1):
                 knotted = True
-            total = sum(self.lk[k][j] for j in range(self.mu) if j != k)
-            if total != 0:
+            if sum(self.lk[k]) != 0:
                 continue
-            sig, _, det = self.seifert_of(w)
-            if sig == 0 and _is_square(det):
+            csig, _, cdet = seifert_of(w)
+            if csig == 0 and _is_square(cdet):
                 eligible += 1
-        return eligible, knotted
+        tag = frozenset("g") if (mu >= 2 and knotted) else frozenset()
+        self.s_hi.note(tag, eligible, "at most %d components can bound disks" % eligible)
+
+        self.search = chi_minus_lower_bound(word, search_budget)
+        try:
+            verify_witness(word, self.search)
+        except BraidError as e:
+            raise ClassifyError("chi search witness for %s does not replay: %s" % (rec.name, e)) from None
+        self.m_lo.note(frozenset(), self.search.score, "switch-and-reduce search")
+        self.m_hi.note(frozenset(), mu, "component count cap")
+        if rec.certificate is not None:
+            v = qp_chi(rec.certificate)
+            why = "braided surface from the factorization is optimal"
+            for b in (self.s_lo, self.s_hi, self.m_lo, self.m_hi):
+                b.note(frozenset(), v, why)
+
+    @functools.cached_property
+    def linked_throughout(self) -> bool:
+        """Every proper component subset links its complement."""
+        return not zero_linking_sublinks(self.lk)
 
     def derive(self, cls: str, verdict: str, letters: frozenset, rule: str, why: str) -> bool:
         key = (verdict, letters)
@@ -261,7 +267,7 @@ class _Row:
     def check_chi(self):
         for label, lo, hi in (("chi_s", self.s_lo, self.s_hi), ("chi_s^-", self.m_lo, self.m_hi)):
             bl, bh = lo.best(), hi.best()
-            if bl and bh and bl[0] > bh[0]:
+            if bl[0] > bh[0]:
                 raise ClassifyError(
                     "%s bounds clash for %s: lower %d (%s) exceeds upper %d (%s)"
                     % (label, self.rec.name, bl[0], bl[1], bh[0], bh[1])
@@ -310,30 +316,16 @@ def parse_kb(text: str) -> list[LinkRecord]:
     format is deliberately small.
     """
     records: list[LinkRecord] = []
-    cur: dict | None = None
+    cur: dict | None = None  # LinkRecord fields given so far
+    axioms: list[Axiom] = []
+    summands: list[str] = []
 
     def flush():
-        nonlocal cur
         if cur is None:
             return
-        if cur.get("braid") is None:
+        if "braid" not in cur:
             raise ClassifyError("record %s has no braid" % cur["name"])
-        rec = LinkRecord(
-            name=cur["name"],
-            braid=cur["braid"],
-            certificate=cur.get("cert"),
-            invertible=cur.get("invertible", True),
-            mirror_of=cur.get("mirror_of"),
-            sum_kind=cur.get("sum_kind"),
-            summands=tuple(cur.get("summands", ())),
-            outer=cur.get("outer", False),
-            axioms=tuple(cur.get("axioms", ())),
-            expected=cur.get("expected", {}),
-            stated_chi_s=cur.get("chi_s"),
-            stated_chi_minus=cur.get("chi_minus"),
-        )
-        records.append(rec)
-        cur = None
+        records.append(LinkRecord(**cur, axioms=tuple(axioms), summands=tuple(summands)))
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -353,7 +345,8 @@ def parse_kb(text: str) -> list[LinkRecord]:
                 flush()
                 if len(parts) != 2:
                     raise ClassifyError("link stanza wants exactly one name")
-                cur = {"name": parts[1], "expected": {}, "axioms": [], "summands": []}
+                cur = {"name": parts[1]}
+                axioms, summands = [], []
                 continue
             if cur is None:
                 raise ClassifyError("property before any link stanza")
@@ -362,29 +355,29 @@ def parse_kb(text: str) -> list[LinkRecord]:
             elif key == "cert":
                 if "braid" not in cur:
                     raise ClassifyError("cert must follow the braid line")
-                cur["cert"] = parse_certificate(cur["braid"].strands, " ".join(parts[1:]))
+                cur["certificate"] = parse_certificate(cur["braid"].strands, " ".join(parts[1:]))
             elif key == "invertible":
                 cur["invertible"] = parts[1] == "yes"
             elif key == "mirror-of":
                 cur["mirror_of"] = parts[1]
             elif key in ("split-sum-of", "connected-sum-of"):
                 cur["sum_kind"] = "split" if key.startswith("split") else "connected"
-                cur["summands"] = parts[1:]
+                summands = parts[1:]
                 if len(parts) < 3:
                     raise ClassifyError("a sum needs at least two summands")
             elif key == "outer":
                 cur["outer"] = parts[1] == "yes"
             elif key == "axiom":
-                cur["axioms"].append(Axiom(parts[1], parts[2], parts[3]))
+                axioms.append(Axiom(parts[1], parts[2], parts[3]))
             elif key == "expect":
                 if parts[1] not in CLASSES or parts[2] not in _VERDICTS:
                     raise ClassifyError("bad expectation %r" % line)
                 letters = _parse_letterset(parts[3]) if len(parts) > 3 else frozenset()
-                cur["expected"][parts[1]] = CellExpectation(parts[2], letters)
+                cur.setdefault("expected", {})[parts[1]] = CellExpectation(parts[2], letters)
             elif key == "chi_s":
-                cur["chi_s"] = None if parts[1] == "-" else int(parts[1])
+                cur["stated_chi_s"] = None if parts[1] == "-" else int(parts[1])
             elif key == "chi_minus":
-                cur["chi_minus"] = None if parts[1] == "-" else int(parts[1])
+                cur["stated_chi_minus"] = None if parts[1] == "-" else int(parts[1])
             else:
                 raise ClassifyError("unknown key %r" % key)
         except (ClassifyError, ParseError, IndexError, ValueError) as e:
@@ -441,29 +434,6 @@ def verify_certificates(records: list[LinkRecord]) -> list[str]:
 
 
 # -- the engine ---------------------------------------------------------------
-
-
-def _seed_chi(row: _Row, search_budget: int):
-    rec = row.rec
-    row.s_lo.note(frozenset(), bennequin_chi(row.word), "banded surface of the given word")
-    sig, nul, _ = row.seifert_of(row.word)
-    # Murasugi: chi_s <= 1 - |signature| + nullity
-    row.s_hi.note(frozenset(), 1 - abs(sig) + nul, "signature bound")
-    eligible, knotted = row.disk_census()
-    tag = frozenset("g") if (row.mu >= 2 and knotted) else frozenset()
-    row.s_hi.note(tag, eligible, "at most %d components can bound disks" % eligible)
-    row.search = chi_minus_lower_bound(row.word, search_budget)
-    try:
-        verify_witness(row.word, row.search)
-    except BraidError as e:
-        raise ClassifyError("chi search witness for %s does not replay: %s" % (rec.name, e)) from None
-    row.m_lo.note(frozenset(), row.search.score, "switch-and-reduce search")
-    row.m_hi.note(frozenset(), row.mu, "component count cap")
-    if rec.certificate is not None:
-        v = qp_chi(rec.certificate)
-        why = "braided surface from the factorization is optimal"
-        for b in (row.s_lo, row.s_hi, row.m_lo, row.m_hi):
-            b.note(frozenset(), v, why)
 
 
 def _copy_entries(dst: _Bound, src: _Bound, note: str) -> bool:
@@ -552,7 +522,7 @@ def _membership_pass(rows: dict[str, _Row], use_axioms: bool) -> bool:
         if rec.mirror_of and row.verdict("Q") != "yes":
             other = rows[rec.mirror_of]
             for a, b in ((row, other), (other, row)):
-                if a.verdict("Q") == "yes" and a.poly != unlink_poly(a.mu):
+                if a.verdict("Q") == "yes" and a.nontrivial:
                     changed |= b.derive(
                         "Q", "no", frozenset(), "mirror-exclusion",
                         "mirror %s is quasipositive and nontrivial" % a.rec.name,
@@ -575,7 +545,7 @@ def _membership_pass(rows: dict[str, _Row], use_axioms: bool) -> bool:
                     )
 
         # no sublink of zero total linking means no bounded piece to shed
-        if row.verdict("SB") == "no" and not zero_linking_sublinks(row.lk):
+        if row.verdict("SB") == "no" and row.linked_throughout:
             changed |= row.derive(
                 "B", "no", frozenset("b"), "linked-throughout",
                 "not strong, and every component subset links its complement",
@@ -640,11 +610,10 @@ def apply_rules(
     failures = verify_certificates(records)
     if failures:
         raise ClassifyError("certificate verification failed:\n  " + "\n  ".join(failures))
-    polys: dict[BraidWord, LaurentPoly2] = {}
-    seifert: dict[BraidWord, tuple[int, int, int]] = {}
-    rows = {r.name: _Row(r, skein_budget, polys, seifert) for r in records}
-    for row in rows.values():
-        _seed_chi(row, search_budget)
+    # one skein evaluation and one Seifert reduction per braid word and run
+    poly_of = functools.cache(lambda w: homfly_braid(w, skein_budget))
+    seifert_of = functools.cache(seifert_invariants)
+    rows = {r.name: _Row(r, poly_of, seifert_of, search_budget) for r in records}
     for _ in range(200):
         busy = _chi_pass(rows)
         busy |= _membership_pass(rows, use_axioms)
@@ -661,10 +630,7 @@ def apply_rules(
             cells[cls] = CellResult(v, tuple(row.derivs[cls].values()))
         sl, sh = row.s_lo.best(), row.s_hi.best()
         ml, mh = row.m_lo.best(), row.m_hi.best()
-        chi = ChiBounds(
-            (sl[0] if sl else -(10**9), sh[0] if sh else 10**9),
-            (ml[0] if ml else -(10**9), mh[0] if mh else 10**9),
-        )
+        chi = ChiBounds((sl[0], sh[0]), (ml[0], mh[0]))
         sources = {
             "chi_s.lo": dict(row.s_lo.data),
             "chi_s.hi": dict(row.s_hi.data),

@@ -73,11 +73,11 @@ def auto_geometry(forest: OvalForest) -> OvalForest:
 
     Roots go on a circle around the origin (or at the origin when there is
     only one); children sit on a circle of 0.55 times the parent radius,
-    shrunk by the sibling count.  Existing geometry is kept as-is.  An oval
-    whose disk would come out smaller than _MIN_AUTO_RADIUS is an error.
+    shrunk by the sibling count.  Existing geometry is kept as-is;
+    parametrize checks it.  An oval whose disk would come out smaller than
+    _MIN_AUTO_RADIUS is an error.
     """
     if all(o.has_geometry for o in forest.ovals):
-        check_geometry(forest)
         return forest
 
     placed: dict[int, tuple[float, float, float]] = {}
@@ -108,11 +108,9 @@ def auto_geometry(forest: OvalForest) -> OvalForest:
                     "(its radius would be %.1e); give cx cy r for every oval in the oval file"
                     % (o.ident, forest.depth(o.ident), 0.35 * r / s)
                 )
-    out = OvalForest([Oval(o.ident, o.parent, o.winding, o.fiber,
-                           placed[o.ident][0], placed[o.ident][1], placed[o.ident][2])
-                      for o in forest.ovals])
-    check_geometry(out)
-    return out
+    return OvalForest([Oval(o.ident, o.parent, o.winding, o.fiber,
+                            placed[o.ident][0], placed[o.ident][1], placed[o.ident][2])
+                       for o in forest.ovals])
 
 
 def check_geometry(forest: OvalForest):
@@ -149,11 +147,11 @@ def parametrize(forest: OvalForest, orientation: str = "ccw",
     max(256, 64 * (1 + |winding|)) * samples_scale points; an oval that
     would need more than _MAX_SAMPLES raises EmbedError.
     """
+    check_geometry(forest)
     if orientation not in ("ccw", "induced"):
         raise ValueError("orientation must be 'ccw' or 'induced'")
     if samples_scale < 1:
         raise EmbedError("samples scale must be an integer >= 1, got %s" % samples_scale)
-    check_geometry(forest)
     counts = {}
     for ident in forest.ids():
         a = forest.by_id(ident).winding

@@ -32,7 +32,7 @@ every element it writes, in the trace too.
 
 from __future__ import annotations
 
-from .braids import BraidWord
+from .braids import BraidWord, reduce_word
 from .diagrams import Crossing, Diagram, from_braid, remove_crossings, simplify_diagram
 
 
@@ -268,15 +268,10 @@ def _times(x: Element, i: int, sign: int) -> Element:
     return out
 
 
-def _cyclically_reduced(letters: tuple[int, ...]) -> list[int]:
-    """The word with every x, -x pair cancelled, also across its ends: the
-    closure, and so the polynomial, stays the same."""
-    out: list[int] = []
-    for x in letters:
-        if out and out[-1] == -x:
-            out.pop()
-        else:
-            out.append(x)
+def _cyclically_reduced(b: BraidWord) -> tuple[int, ...]:
+    """The letters of ``b`` with every x, -x pair cancelled, also across its
+    ends: the closure, and so the polynomial, stays the same."""
+    out = reduce_word(b).letters
     lo, hi = 0, len(out)
     while hi - lo > 1 and out[lo] == -out[hi - 1]:
         lo, hi = lo + 1, hi - 1
@@ -292,7 +287,7 @@ def _hecke_homfly(b: BraidWord, budget: int) -> LaurentPoly2:
     c = UNLINK_FACTOR, P = v^e sum c_kj z^j c^(n-1-k) v^-k.
     """
     n = b.strands
-    letters = _cyclically_reduced(b.letters)
+    letters = _cyclically_reduced(b)
     charged = 0
 
     def charge(x: Element, where: str):

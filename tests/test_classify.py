@@ -166,6 +166,29 @@ def test_one_polynomial_per_word_per_run(fixtures_dir, monkeypatch):
     assert len(evaluated) == len(set(evaluated)) == 31
 
 
+def test_linked_throughout_is_tested_at_most_once_per_record(fixtures_dir, monkeypatch):
+    import cbound.classify
+
+    tested = []
+    real = cbound.classify.zero_linking_sublinks
+
+    def counting(m):
+        tested.append(m)
+        return real(m)
+
+    monkeypatch.setattr(cbound.classify, "zero_linking_sublinks", counting)
+    recs = parse_kb((fixtures_dir / "table1.kb").read_text())
+    apply_rules(recs)
+    assert len(tested) <= len(recs) == 29
+
+
+def test_axiom_derivation_is_listed_before_the_certificate():
+    recs = parse_kb("link A\nbraid BR[2,{1,1}]\ncert :1 :1\naxiom Q yes d\n")
+    text = describe_ledger(recs, apply_rules(recs))
+    q = text[text.index("Q: yes"):text.index("SB:")]
+    assert 0 <= q.index("via axiom (d)") < q.index("via certificate (-)")
+
+
 def test_a_witness_that_does_not_replay_is_rejected(monkeypatch):
     import cbound.classify
 

@@ -232,6 +232,19 @@ def test_chi_stops_before_the_search_when_a_knot_exceeds_the_skein_budget(capsys
     assert "skein budget of 3 crossings ran out" in err
 
 
+def test_chi_stops_before_the_search_when_a_link_exceeds_the_skein_budget(capsys, monkeypatch):
+    import cbound.classify
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("chi search ran after the skein budget was exceeded")
+
+    monkeypatch.setattr(cbound.classify, "chi_minus_lower_bound", no_search)
+    code, out, err = run(capsys, "chi", "BR[3,{1,2,1,2,1,2}]", "--skein-budget", "3")
+    assert code == 2
+    assert out == ""
+    assert "skein budget of 3 crossings ran out" in err
+
+
 def _braid_arg(strands, letters):
     return "BR[%d,{%s}]" % (strands, ",".join(str(x) for x in letters))
 
