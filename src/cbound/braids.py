@@ -120,34 +120,57 @@ def _gen_perm(n: int, i: int) -> tuple[int, ...]:
     return tuple(p)
 
 
-def perm_of(b: BraidWord) -> tuple[int, ...]:
-    p = tuple(range(b.strands))
+# -- components of the closure -----------------------------------------------
+
+
+def closure_components(b: BraidWord) -> tuple[list[BraidWord], list[list[int]]]:
+    """Components of the closure, each as a braid on its own strands, and
+    their pairwise linking numbers.
+
+    Components come in order of their least starting strand.  A letter
+    between two strands of one component is renumbered among that
+    component's strands at the letter's position; a letter between two
+    components adds its sign to the pair, and a linking number is half the
+    sum of the signs of the pair's crossings.
+    """
+    n = b.strands
+    occ = list(range(n))  # occ[p]: starting strand now at position p
     for x in b.letters:
-        p = pmul(p, _gen_perm(b.strands, abs(x)))
-    return p
-
-
-def perm_cycles(p: tuple[int, ...]) -> list[list[int]]:
-    """Cycles of a permutation, each starting at its least element,
-    ordered by least element."""
-    seen = [False] * len(p)
-    out = []
-    for s in range(len(p)):
-        if seen[s]:
-            continue
-        cyc = [s]
-        seen[s] = True
-        x = p[s]
-        while x != s:
-            cyc.append(x)
-            seen[x] = True
-            x = p[x]
-        out.append(cyc)
-    return out
+        i = abs(x)
+        occ[i - 1], occ[i] = occ[i], occ[i - 1]
+    # the closure joins the strand that ends at position p to the one
+    # starting there
+    comp = [-1] * n
+    sizes: list[int] = []
+    for s in range(n):
+        if comp[s] < 0:
+            t, size = s, 0
+            while comp[t] < 0:
+                comp[t] = len(sizes)
+                t = occ[t]
+                size += 1
+            sizes.append(size)
+    words: list[list[int]] = [[] for _ in sizes]
+    lk = [[0] * len(sizes) for _ in sizes]
+    occ = list(range(n))
+    for x in b.letters:
+        i = abs(x)
+        a, c = occ[i - 1], occ[i]
+        ka, kc = comp[a], comp[c]
+        if ka == kc:
+            pos = 1 + sum(1 for y in occ[: i - 1] if comp[y] == ka)
+            words[ka].append(pos if x > 0 else -pos)
+        else:
+            sign = 1 if x > 0 else -1
+            lk[ka][kc] += sign
+            lk[kc][ka] += sign
+        occ[i - 1], occ[i] = c, a
+    return ([BraidWord(size, tuple(w)) for size, w in zip(sizes, words)],
+            [[v // 2 for v in row] for row in lk])
 
 
 def component_count(b: BraidWord) -> int:
-    return len(perm_cycles(perm_of(b)))
+    return len(closure_components(b)[0])
 
 
 # -- Garside left-canonical form --------------------------------------------
@@ -578,23 +601,3 @@ def murasugi_chi_upper(b: BraidWord) -> int:
     characteristic of the closure."""
     sig, nul = signature_and_nullity(b)
     return 1 - abs(sig) + nul
-
-
-def sub_braid(b: BraidWord, strand_set: set[int]) -> BraidWord:
-    """Braid of the sublink traced by the given starting strands (1-based).
-
-    Letters touching a kept and a removed strand drop out; the occupancy
-    of positions is tracked so surviving letters reindex correctly.
-    """
-    keep = {s - 1 for s in strand_set}
-    occupants = list(range(b.strands))
-    letters = []
-    for x in b.letters:
-        i = abs(x)
-        a, c = occupants[i - 1], occupants[i]
-        if a in keep and c in keep:
-            pos = sum(1 for y in occupants[: i - 1] if y in keep)
-            letters.append((pos + 1) if x > 0 else -(pos + 1))
-        occupants[i - 1], occupants[i] = c, a
-    n = len(keep)
-    return BraidWord(max(n, 1), tuple(letters))

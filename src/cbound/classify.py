@@ -26,12 +26,10 @@ from .braids import (
     bennequin_chi,
     braid_equal,
     chi_minus_lower_bound,
+    closure_components,
     expand_qp,
-    perm_cycles,
-    perm_of,
     qp_chi,
     seifert_invariants,
-    sub_braid,
     verify_witness,
 )
 from .diagrams import zero_linking_sublinks
@@ -161,32 +159,16 @@ def _is_square(n: int) -> bool:
     return n >= 0 and math.isqrt(n) ** 2 == n
 
 
-def _cycle_linking(word: BraidWord, cycles: list[frozenset[int]]) -> list[list[int]]:
-    """Pairwise linking numbers of the components (1-based strand cycles)."""
-    which = {s - 1: k for k, cyc in enumerate(cycles) for s in cyc}
-    acc = [[0] * len(cycles) for _ in cycles]
-    occ = list(range(word.strands))
-    for x in word.letters:
-        i = abs(x)
-        a, c = occ[i - 1], occ[i]
-        ka, kc = which[a], which[c]
-        if ka != kc:
-            s = 1 if x > 0 else -1
-            acc[ka][kc] += s
-            acc[kc][ka] += s
-        occ[i - 1], occ[i] = c, a
-    return [[v // 2 for v in row] for row in acc]
-
-
 class _Row:
     """One record's working state.
 
     The constructor computes everything the record contributes on its own:
-    components, linking, polynomial, the seed bounds and the chi search.
-    ``poly_of`` and ``seifert_of`` are the run's memo functions, shared by
-    all rows: a knot's only component word is the record's own word, and a
-    trefoil component recurs in several links.  The fixpoint passes then
-    only propagate bounds and derive verdicts.
+    the components with their own words and their linking (one
+    ``closure_components`` call), the polynomial, the seed bounds and the
+    chi search.  ``poly_of`` and ``seifert_of`` are the run's memo
+    functions, shared by all rows: a knot's only component word is the
+    record's own word, and a trefoil component recurs in several links.
+    The fixpoint passes then only propagate bounds and derive verdicts.
     """
 
     def __init__(
@@ -198,9 +180,8 @@ class _Row:
     ):
         self.rec = rec
         word = rec.braid
-        cycles = [frozenset(c + 1 for c in cyc) for cyc in perm_cycles(perm_of(word))]
-        self.mu = mu = len(cycles)
-        self.lk = _cycle_linking(word, cycles)
+        components, self.lk = closure_components(word)
+        self.mu = mu = len(components)
         self.poly = poly_of(word)
         self.nontrivial = self.poly != unlink_poly(mu)
         self.s_lo = _Bound("lo", mu)
@@ -218,8 +199,7 @@ class _Row:
         # determinant; a knotted component decides the route tag
         eligible = 0
         knotted = False
-        for k, cyc in enumerate(cycles):
-            w = sub_braid(word, cyc)
+        for k, w in enumerate(components):
             if w.letters and poly_of(w) != LaurentPoly2.const(1):
                 knotted = True
             if sum(self.lk[k]) != 0:
@@ -298,14 +278,16 @@ def parse_certificate(strands: int, text: str) -> QPFactorization:
     return QPFactorization(strands, tuple(factors))
 
 
+def _letter(text: str) -> str:
+    if len(text) != 1 or not ("a" <= text <= "j"):
+        raise ClassifyError("unknown comment letter %r" % text)
+    return text
+
+
 def _parse_letterset(text: str) -> frozenset[str]:
     if text == "-":
         return frozenset()
-    letters = frozenset(text.split(","))
-    for l in letters:
-        if len(l) != 1 or not ("a" <= l <= "j"):
-            raise ClassifyError("unknown comment letter %r" % l)
-    return letters
+    return frozenset(_letter(l) for l in text.split(","))
 
 
 def parse_kb(text: str) -> list[LinkRecord]:
@@ -338,49 +320,51 @@ def parse_kb(text: str) -> list[LinkRecord]:
             line = line[:cut].rstrip()
         if not line:
             continue
-        parts = line.split()
-        key = parts[0]
+        key, *args = line.split()
         try:
             if key == "link":
                 flush()
-                if len(parts) != 2:
+                if len(args) != 1:
                     raise ClassifyError("link stanza wants exactly one name")
-                cur = {"name": parts[1]}
+                cur = {"name": args[0]}
                 axioms, summands = [], []
                 continue
             if cur is None:
                 raise ClassifyError("property before any link stanza")
             if key == "braid":
-                cur["braid"] = parse_braid(" ".join(parts[1:]))
+                cur["braid"] = parse_braid(" ".join(args))
             elif key == "cert":
                 if "braid" not in cur:
                     raise ClassifyError("cert must follow the braid line")
-                cur["certificate"] = parse_certificate(cur["braid"].strands, " ".join(parts[1:]))
-            elif key == "invertible":
-                cur["invertible"] = parts[1] == "yes"
-            elif key == "mirror-of":
-                cur["mirror_of"] = parts[1]
+                cur["certificate"] = parse_certificate(cur["braid"].strands, " ".join(args))
+            elif key in ("invertible", "outer"):
+                if args not in (["yes"], ["no"]):
+                    raise ClassifyError("%s wants exactly yes or no, got %r" % (key, " ".join(args)))
+                cur[key] = args == ["yes"]
+            elif key in ("mirror-of", "chi_s", "chi_minus"):
+                if len(args) != 1:
+                    raise ClassifyError("%s wants exactly one value, got %d" % (key, len(args)))
+                if key == "mirror-of":
+                    cur["mirror_of"] = args[0]
+                else:
+                    cur["stated_" + key] = None if args[0] == "-" else int(args[0])
             elif key in ("split-sum-of", "connected-sum-of"):
                 cur["sum_kind"] = "split" if key.startswith("split") else "connected"
-                summands = parts[1:]
-                if len(parts) < 3:
+                summands = args
+                if len(args) < 2:
                     raise ClassifyError("a sum needs at least two summands")
-            elif key == "outer":
-                cur["outer"] = parts[1] == "yes"
             elif key == "axiom":
-                axioms.append(Axiom(parts[1], parts[2], parts[3]))
+                if len(args) != 3:
+                    raise ClassifyError("axiom wants class, verdict and letter, got %r" % " ".join(args))
+                axioms.append(Axiom(args[0], args[1], _letter(args[2])))
             elif key == "expect":
-                if parts[1] not in CLASSES or parts[2] not in _VERDICTS:
+                if len(args) not in (2, 3) or args[0] not in CLASSES or args[1] not in _VERDICTS:
                     raise ClassifyError("bad expectation %r" % line)
-                letters = _parse_letterset(parts[3]) if len(parts) > 3 else frozenset()
-                cur.setdefault("expected", {})[parts[1]] = CellExpectation(parts[2], letters)
-            elif key == "chi_s":
-                cur["stated_chi_s"] = None if parts[1] == "-" else int(parts[1])
-            elif key == "chi_minus":
-                cur["stated_chi_minus"] = None if parts[1] == "-" else int(parts[1])
+                letters = _parse_letterset(args[2]) if len(args) == 3 else frozenset()
+                cur.setdefault("expected", {})[args[0]] = CellExpectation(args[1], letters)
             else:
                 raise ClassifyError("unknown key %r" % key)
-        except (ClassifyError, ParseError, IndexError, ValueError) as e:
+        except (ClassifyError, ParseError, ValueError) as e:
             raise ClassifyError("kb line %d: %s" % (lineno, e)) from None
     flush()
     _validate_records(records)
@@ -715,22 +699,14 @@ def table1_report(
     mism = 0
     for rec in records:
         row = ledger.rows[rec.name]
-        cols = []
+        # (class, expected cell or None, derived cell, whether they match)
+        cells = []
         for cls in CLASSES:
             want = rec.expected.get(cls)
             cell = row.cells[cls]
-            if want is None:
-                cols.append("%s %s ?" % (cls, cell.verdict))
-                continue
-            hit = _match(cell, want)
-            if hit is None:
-                mism += 1
-                have = " or ".join(
-                    "%s(%s)" % (d.verdict, fmt_letters(d.letters)) for d in cell.derivations
-                ) or "nothing"
-                cols.append("%s %s (%s) MISMATCH: derived %s" % (cls, want.verdict, fmt_letters(want.letters), have))
-            else:
-                cols.append("%s %s (%s) ok" % (cls, want.verdict, fmt_letters(want.letters)))
+            ok = want is None or _match(cell, want) is not None
+            mism += not ok
+            cells.append((cls, want, cell, ok))
         chi_cols = []
         for label, stated, got in (
             ("chi_s", rec.stated_chi_s, row.chi.chi_s[1]),
@@ -744,18 +720,13 @@ def table1_report(
                 mism += 1
                 chi_cols.append("%s %d MISMATCH: derived %d" % (label, stated, got))
         if machine:
-            for cls in CLASSES:
-                want = rec.expected.get(cls)
-                cell = row.cells[cls]
-                hit = _match(cell, want) if want else None
+            for cls, want, cell, ok in cells:
                 lines.append("row.%s.%s=%s" % (rec.name, cls, cell.verdict))
                 lines.append("row.%s.%s.expected=%s" % (rec.name, cls, want.verdict if want else "-"))
                 lines.append(
                     "row.%s.%s.letters=%s" % (rec.name, cls, fmt_letters(want.letters) if want else "-")
                 )
-                lines.append(
-                    "row.%s.%s.status=%s" % (rec.name, cls, "ok" if (want is None or hit) else "mismatch")
-                )
+                lines.append("row.%s.%s.status=%s" % (rec.name, cls, "ok" if ok else "mismatch"))
             lines.append("row.%s.chi_s=%d:%d" % (rec.name, *row.chi.chi_s))
             lines.append("row.%s.chi_s_minus=%d:%d" % (rec.name, *row.chi.chi_s_minus))
             lines.append("row.%s.chi_s.stated=%s" % (rec.name, rec.stated_chi_s if rec.stated_chi_s is not None else "-"))
@@ -764,6 +735,18 @@ def table1_report(
                 % (rec.name, rec.stated_chi_minus if rec.stated_chi_minus is not None else "-")
             )
         else:
+            cols = []
+            for cls, want, cell, ok in cells:
+                if want is None:
+                    cols.append("%s %s ?" % (cls, cell.verdict))
+                elif ok:
+                    cols.append("%s %s (%s) ok" % (cls, want.verdict, fmt_letters(want.letters)))
+                else:
+                    have = " or ".join(
+                        "%s(%s)" % (d.verdict, fmt_letters(d.letters)) for d in cell.derivations
+                    ) or "nothing"
+                    cols.append("%s %s (%s) MISMATCH: derived %s"
+                                % (cls, want.verdict, fmt_letters(want.letters), have))
             lines.append("%-12s %s | %s" % (rec.name, " | ".join(cols), " | ".join(chi_cols)))
     if audit is not None:
         if machine:

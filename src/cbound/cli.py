@@ -10,9 +10,10 @@ Diagnostics go to stderr; the report stream stays machine-friendly under
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
-from .braids import DEFAULT_SEARCH_BUDGET, BraidError, component_count
+from .braids import DEFAULT_SEARCH_BUDGET, BraidError, component_count, qp_chi
 from .classify import (
     ClassifyError,
     LinkRecord,
@@ -22,10 +23,11 @@ from .classify import (
     parse_certificate,
     parse_kb,
     table1_report,
+    verify_certificates,
 )
 from .diagrams import Diagram, DiagramError, from_braid, linking_matrix
 from .embed import EmbedError, linking_by_id, oval_link_pd, render_svg
-from .homfly import DEFAULT_SKEIN_BUDGET, HECKE_MAX_STRANDS, BudgetExceeded, homfly, homfly_braid
+from .homfly import DEFAULT_SKEIN_BUDGET, HECKE_MAX_STRANDS, BudgetExceeded, fwm_obstruction, homfly, homfly_braid
 from .notation import ParseError, parse_braid, parse_ovals, parse_pd, render_braid, render_pd, render_poly
 from .splice import (
     OvalError,
@@ -149,9 +151,7 @@ def cmd_qp_verify(args) -> int:
     if braid is None or factors_text is None:
         raise ParseError("certificate needs both a braid and a factors line")
     fac = parse_certificate(braid.strands, factors_text)
-    from .braids import braid_equal, expand_qp, qp_chi
-
-    ok = braid_equal(expand_qp(fac), braid)
+    ok = not verify_certificates([LinkRecord("input", braid, fac)])
     chi = qp_chi(fac)
     if args.machine:
         print("verified=%s" % ("yes" if ok else "no"))
@@ -167,8 +167,6 @@ def cmd_qp_verify(args) -> int:
 def cmd_qp_obstruct(args) -> int:
     _, row = _solo_row(args)
     hi = row.chi.chi_s[1]
-    from .homfly import fwm_obstruction
-
     ob = fwm_obstruction(row.poly, hi)
     verdict = "refuted" if ob["refuted"] else "consistent"
     if args.machine:
@@ -324,8 +322,6 @@ def main(argv=None) -> int:
         print("error: %s" % e, file=sys.stderr)
         return 1
     except BrokenPipeError:
-        import os
-
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
     except OSError as e:

@@ -65,6 +65,7 @@ _BATCH = 2048  # chunk pairs per exact-test batch, at most 2048 * 64 cells
 # generic; a few levels further the radii fall through check_geometry's
 # 1e-9 tolerance and then underflow to 0.
 _MIN_AUTO_RADIUS = 1e-7
+_CHARTS = 64  # charts oval_link_pd tries before it gives up
 _CELL_I, _CELL_J = np.divmod(np.arange(_CHUNK * _CHUNK), _CHUNK)
 
 
@@ -349,13 +350,13 @@ class Projection(tuple):
 
 
 def oval_link_pd(forest: OvalForest, orientation: str = "ccw", seed: int = 0,
-                 samples_scale: int = 1, attempts: int = 64) -> Projection:
+                 samples_scale: int = 1) -> Projection:
     """Diagram of the realized forest, retrying charts until the
     projection is generic."""
     forest = auto_geometry(forest)
     curves = parametrize(forest, orientation, samples_scale)
     retries = []
-    for attempt in range(attempts):
+    for attempt in range(_CHARTS):
         pole, frame = _chart(seed, attempt)
         try:
             proj = _project(curves, pole, frame)
@@ -365,7 +366,7 @@ def oval_link_pd(forest: OvalForest, orientation: str = "ccw", seed: int = 0,
             continue
         return Projection(diag, ids, proj, retries)
     raise EmbedError("no generic projection found after %d charts: %s"
-                     % (attempts, retries[-1] if retries else None))
+                     % (_CHARTS, retries[-1] if retries else None))
 
 
 def linking_by_id(diag: Diagram, ids: list[int]) -> tuple[list[int], list[list[int]]]:
@@ -383,11 +384,12 @@ def oval_link_lk(forest: OvalForest, orientation: str = "ccw", seed: int = 0,
     return linking_by_id(*oval_link_pd(forest, orientation, seed, samples_scale))
 
 
+_SVG_SIZE = 480  # width and height of render_svg's picture, in pixels
 _PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b",
             "#17becf", "#7f7f7f"]
 
 
-def render_svg(projection: Projection, size: int = 480) -> str:
+def render_svg(projection: Projection) -> str:
     """Plain SVG of a projected diagram; under-strands get a small gap."""
     proj = projection.curves
     allpts = np.vstack([p[:, :2] for _, p in proj])
@@ -397,12 +399,12 @@ def render_svg(projection: Projection, size: int = 480) -> str:
     pad = 0.06 * span
 
     def sx(v):
-        return (v[0] - lo[0] + pad) / (span + 2 * pad) * size
+        return (v[0] - lo[0] + pad) / (span + 2 * pad) * _SVG_SIZE
 
     def sy(v):
-        return size - (v[1] - lo[1] + pad) / (span + 2 * pad) * size
+        return _SVG_SIZE - (v[1] - lo[1] + pad) / (span + 2 * pad) * _SVG_SIZE
 
-    parts = ['<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d">' % (size, size),
+    parts = ['<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d">' % (_SVG_SIZE, _SVG_SIZE),
              '<rect width="100%" height="100%" fill="white"/>']
     order = np.argsort([np.mean(p[:, 2]) for _, p in proj])
     for rank, k in enumerate(order):

@@ -9,7 +9,7 @@ hand-written shapes: ``2-3*v^2 + v^4 + z^(-2)-(2*v^2)/z^2`` as well as
 from __future__ import annotations
 
 from .braids import BraidWord
-from .diagrams import Diagram, from_pd
+from .diagrams import Diagram, from_pd, pd_tuples
 from .homfly import LaurentPoly2
 from .splice import Oval, OvalForest, OvalError
 
@@ -297,7 +297,6 @@ def parse_pd(text: str, unknots: int | None = None) -> Diagram:
 
 
 def render_pd(d: Diagram) -> str:
-    from .diagrams import pd_tuples
     if not d.crossings:
         return "PD[]"
     return "PD[%s]" % ",".join("X[%d,%d,%d,%d]" % t for t in pd_tuples(d))

@@ -2,9 +2,11 @@
 
 None of these is used by a command: each one reaches a known answer by a
 second way (reflecting a diagram, reversing one component, evaluating the
-skein polynomial at a point) so that a test can compare the two.
+skein polynomial at a point, following each component's strands on its
+own) so that a test can compare the two.
 """
 
+from cbound.braids import BraidWord
 from cbound.diagrams import Crossing, Diagram, _component_of_arc
 from cbound.homfly import LaurentPoly2
 
@@ -49,3 +51,76 @@ def determinant_from_poly(p: LaurentPoly2) -> int:
     if abs(out - r) > 1e-6:
         raise ValueError("determinant evaluation drifted: %r" % val)
     return int(r)
+
+
+def strand_cycles(b: BraidWord) -> list[list[int]]:
+    """Cycles of the strand permutation of a braid word, 0-based.
+
+    The strand that starts at position x ends at position p[x]; each cycle
+    starts at its least strand and follows p, cycles in order of their
+    least strand."""
+    occ = list(range(b.strands))
+    for x in b.letters:
+        i = abs(x)
+        occ[i - 1], occ[i] = occ[i], occ[i - 1]
+    p = [0] * b.strands
+    for pos, s in enumerate(occ):
+        p[s] = pos
+    seen = [False] * b.strands
+    out = []
+    for s in range(b.strands):
+        if seen[s]:
+            continue
+        cyc = [s]
+        seen[s] = True
+        x = p[s]
+        while x != s:
+            cyc.append(x)
+            seen[x] = True
+            x = p[x]
+        out.append(cyc)
+    return out
+
+
+def sub_braid(b: BraidWord, strand_set: set[int]) -> BraidWord:
+    """Braid of the sublink traced by the given starting strands (1-based).
+
+    Letters touching a kept and a removed strand drop out; the occupancy
+    of positions is tracked so surviving letters reindex correctly.
+    """
+    keep = {s - 1 for s in strand_set}
+    occupants = list(range(b.strands))
+    letters = []
+    for x in b.letters:
+        i = abs(x)
+        a, c = occupants[i - 1], occupants[i]
+        if a in keep and c in keep:
+            pos = sum(1 for y in occupants[: i - 1] if y in keep)
+            letters.append((pos + 1) if x > 0 else -(pos + 1))
+        occupants[i - 1], occupants[i] = c, a
+    n = len(keep)
+    return BraidWord(max(n, 1), tuple(letters))
+
+
+def cycle_linking(word: BraidWord, cycles: list[frozenset[int]]) -> list[list[int]]:
+    """Pairwise linking numbers of the components (1-based strand cycles)."""
+    which = {s - 1: k for k, cyc in enumerate(cycles) for s in cyc}
+    acc = [[0] * len(cycles) for _ in cycles]
+    occ = list(range(word.strands))
+    for x in word.letters:
+        i = abs(x)
+        a, c = occ[i - 1], occ[i]
+        ka, kc = which[a], which[c]
+        if ka != kc:
+            s = 1 if x > 0 else -1
+            acc[ka][kc] += s
+            acc[kc][ka] += s
+        occ[i - 1], occ[i] = c, a
+    return [[v // 2 for v in row] for row in acc]
+
+
+def closure_components_by_sublink(b: BraidWord) -> tuple[list[BraidWord], list[list[int]]]:
+    """Component words and linking matrix, one sublink walk per component
+    and one more for the linking."""
+    cycles = [frozenset(c + 1 for c in cyc) for cyc in strand_cycles(b)]
+    return [sub_braid(b, cyc) for cyc in cycles], cycle_linking(b, cycles)

@@ -19,22 +19,21 @@ from cbound.braids import (
     bennequin_chi,
     braid_equal,
     chi_minus_lower_bound,
+    closure_components,
     component_count,
     destabilize_isolated,
     determinant_of_closure,
     expand_qp,
     mirror,
     murasugi_chi_upper,
-    perm_cycles,
-    perm_of,
     qp_chi,
     reduce_word,
     seifert_matrix_of_closure,
     signature_and_nullity,
-    sub_braid,
     verify_witness,
 )
 from cbound.notation import parse_braid, render_braid
+from oracles import closure_components_by_sublink, strand_cycles
 
 TREFOIL = BraidWord(2, (1, 1, 1))
 FIG8 = BraidWord(3, (-1, 2, -1, 2))
@@ -55,11 +54,6 @@ def test_component_count():
     assert component_count(HOPF) == 2
     assert component_count(BraidWord(3, ())) == 3
     assert component_count(BraidWord(3, (1, -2, 1, -2, 1))) == 2
-
-
-def test_perm_cycles_indices_are_zero_based():
-    cycles = perm_cycles(perm_of(BraidWord(3, (1,))))
-    assert sorted(map(sorted, cycles)) == [[0, 1], [2]]
 
 
 def test_reduce_word_cancels_free_pairs():
@@ -88,12 +82,16 @@ def test_mirror():
     assert mirror(mirror(FIG8)) == FIG8
 
 
-def test_sub_braid_strand_sets_are_one_based():
-    # keep the 2-component sublink of 2_1 u 2_1 living on strands {1,2}
-    b = BraidWord(4, (1, 1, 3, 3))
-    assert sub_braid(b, {1, 2}) == BraidWord(2, (1, 1))
-    assert sub_braid(b, {3, 4}) == BraidWord(2, (1, 1))
-    assert sub_braid(b, {1, 3}).letters == ()
+def test_closure_component_words_are_one_based():
+    # 2_1 u 2_1: strands {1,2} and {3,4} each close to a Hopf link, and no
+    # letter joins strand 1 to strand 3
+    words, lk = closure_components(BraidWord(4, (1, 1, 3, 3)))
+    assert words == [BraidWord(1, ())] * 4
+    assert lk == [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]
+    # a trefoil on strands 3 and 4 is renumbered onto strands 1 and 2
+    words, lk = closure_components(BraidWord(4, (3, 3, 3)))
+    assert words == [BraidWord(1, ()), BraidWord(1, ()), BraidWord(2, (1, 1, 1))]
+    assert lk == [[0, 0, 0], [0, 0, 0], [0, 0, 0]]
 
 
 def test_bennequin_chi():
@@ -169,7 +167,7 @@ def test_reduce_preserves_permutation(seed):
     word = tuple(rng.choice([i, -i]) for i in
                  (rng.randint(1, n - 1) for _ in range(8)))
     b = BraidWord(n, word)
-    assert perm_of(reduce_word(b)) == perm_of(b)
+    assert strand_cycles(reduce_word(b)) == strand_cycles(b)
 
 
 # -- the Seifert invariants against the two-path reference --------------------
@@ -282,6 +280,34 @@ def test_seifert_invariants_match_two_path_reference():
         b = random_word(rng, 5, 14)
         assert signature_and_nullity(b) == reference_signature_and_nullity(b), b
         assert determinant_of_closure(b) == reference_determinant(b), b
+
+
+# -- closure components against one sublink walk per component ---------------
+
+
+def test_closure_components_of_small_links():
+    assert closure_components(HOPF) == ([BraidWord(1, ()), BraidWord(1, ())], [[0, 1], [1, 0]])
+    assert closure_components(mirror(HOPF)) == ([BraidWord(1, ()), BraidWord(1, ())], [[0, -1], [-1, 0]])
+    assert closure_components(TREFOIL) == ([TREFOIL], [[0]])
+    # split: a trefoil on strands 1-2 beside a negative Hopf link on
+    # strands 4-5, with strand 3 a free circle in between
+    assert closure_components(BraidWord(5, (1, -4, 1, -4, 1))) == (
+        [TREFOIL, BraidWord(1, ()), BraidWord(1, ()), BraidWord(1, ())],
+        [[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, -1], [0, 0, -1, 0]],
+    )
+    # 1 -2 1 -2 1 closes strand 1 on itself and joins strands 2 and 3; the
+    # third letter is the only one inside that component, and the four
+    # letters between the two components cancel
+    words, lk = closure_components(BraidWord(3, (1, -2, 1, -2, 1)))
+    assert words == [BraidWord(1, ()), BraidWord(2, (1,))]
+    assert lk == [[0, 0], [0, 0]]
+
+
+def test_closure_components_match_sublink_reference():
+    rng = random.Random(2531)
+    for _ in range(5000):
+        b = random_word(rng, 8, 18)
+        assert closure_components(b) == closure_components_by_sublink(b), b
 
 
 # -- the chi search against results pinned before the tuple rewrite ----------

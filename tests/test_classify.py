@@ -57,6 +57,42 @@ def test_parse_kb_errors():
         parse_kb("link A\nbraid BR[2,{1,1}]\nexpect Q no x\n")
 
 
+@pytest.mark.parametrize("line, why", [
+    ("invertible yse", "invertible wants exactly yes or no"),
+    ("invertible", "invertible wants exactly yes or no"),
+    ("invertible yes no", "invertible wants exactly yes or no"),
+    ("outer Yes", "outer wants exactly yes or no"),
+    ("outer", "outer wants exactly yes or no"),
+    ("mirror-of", "mirror-of wants exactly one value, got 0"),
+    ("mirror-of B C", "mirror-of wants exactly one value, got 2"),
+    ("chi_s 1 2", "chi_s wants exactly one value, got 2"),
+    ("chi_s", "chi_s wants exactly one value, got 0"),
+    ("chi_minus - 0", "chi_minus wants exactly one value, got 2"),
+    ("axiom Q yes a extra", "axiom wants class, verdict and letter"),
+    ("axiom Q yes", "axiom wants class, verdict and letter"),
+    ("axiom Q yes x", "unknown comment letter 'x'"),
+    ("axiom Q yes ab", "unknown comment letter 'ab'"),
+    ("expect Q", "bad expectation"),
+    ("expect Q no a b", "bad expectation"),
+])
+def test_parse_kb_rejects_a_value_of_the_wrong_shape(line, why):
+    with pytest.raises(ClassifyError, match="^kb line 3: " + why):
+        parse_kb("link A\nbraid BR[2,{1,1}]\n%s\n" % line)
+
+
+def test_parse_kb_reads_every_exact_shape():
+    rec = parse_kb(
+        "link B\nbraid BR[2,{1}]\n"
+        "link A\nbraid BR[2,{1,1}]\ninvertible no\nouter yes\nmirror-of B\nchi_s -\nchi_minus 0\n"
+        "axiom Q yes a\nexpect SB yes\nexpect B no a,b\n"
+    )[1]
+    assert (rec.invertible, rec.outer, rec.mirror_of) == (False, True, "B")
+    assert (rec.stated_chi_s, rec.stated_chi_minus) == (None, 0)
+    assert [(a.cls, a.verdict, a.letter) for a in rec.axioms] == [("Q", "yes", "a")]
+    assert {c: (e.verdict, fmt_letters(e.letters)) for c, e in rec.expected.items()} == {
+        "SB": ("yes", "-"), "B": ("no", "a,b")}
+
+
 def test_certificate_round_trip():
     fac = parse_certificate(3, "-1:2 :1 :2")
     assert fac.strands == 3

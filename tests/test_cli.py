@@ -151,6 +151,15 @@ def test_table1_mismatch_exit_code(capsys, tmp_path):
     assert "MISMATCH" in out
 
 
+@pytest.mark.parametrize("line", ["invertible yse", "outer Yes", "chi_s 1 2", "axiom Q yes a extra"])
+def test_a_kb_typo_exits_1_naming_its_line(capsys, tmp_path, line):
+    kb = tmp_path / "typo.kb"
+    kb.write_text("link A\nbraid BR[2,{1,1}]\n%s\n" % line)
+    code, out, err = run(capsys, "table1", str(kb))
+    assert code == 1 and out == ""
+    assert err.startswith("error: kb line 3: ")
+
+
 def test_classify_output(capsys, fixtures_dir):
     code, out, _ = run(capsys, "classify", str(fixtures_dir / "table1.kb"))
     assert code == 0

@@ -2,7 +2,7 @@
 
 import random
 
-from cbound.braids import BraidWord, perm_cycles, perm_of
+from cbound.braids import BraidWord
 from cbound.diagrams import (
     Diagram,
     from_braid,
@@ -15,7 +15,7 @@ from cbound.diagrams import (
     zero_linking_sublinks,
 )
 from cbound.notation import parse_pd
-from oracles import mirror_diagram, reverse_component
+from oracles import mirror_diagram, reverse_component, strand_cycles
 
 HOPF_PLUS = BraidWord(2, (1, 1))
 
@@ -244,7 +244,7 @@ def reference_from_braid(b):
     free = n - len(rename)
     crossings = [tuple(rename.get(a, a) for a in c[:4]) + (c[4],) for c in crossings]
     comps_by_min = walk_components(crossings)
-    used = [cyc for cyc in perm_cycles(perm_of(b)) if cur[cyc[0]] != cyc[0] + 1]
+    used = [cyc for cyc in strand_cycles(b) if cur[cyc[0]] != cyc[0] + 1]
     first = [cyc for cyc in used if 0 in cyc]
     rest = sorted((cyc for cyc in used if 0 not in cyc), key=lambda cyc: -min(cyc))
     order = []

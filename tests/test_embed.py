@@ -142,7 +142,7 @@ def test_random_forest_embeds_cleanly(seed):
     assert all(m[i][j] == m[j][i] for i in range(len(m)) for j in range(len(m)))
 
 
-def test_projection_keeps_every_retry_reason():
+def test_projection_keeps_every_retry_reason(monkeypatch):
     # criterion 7's forest 167 is rejected on five charts before the sixth
     rng = random.Random(7)
     forests = [random_realizable_forest(rng, max_ovals=6) for _ in range(168)]
@@ -152,8 +152,9 @@ def test_projection_keeps_every_retry_reason():
     _, ids = proj
     assert sorted(ids) == forests[167].ids()
     assert [ident for ident, _ in proj.curves] == forests[167].ids()
+    monkeypatch.setattr(embed, "_CHARTS", 5)
     with pytest.raises(EmbedError, match="after 5 charts: near-parallel segments"):
-        oval_link_pd(forests[167], seed=167, attempts=5)
+        oval_link_pd(forests[167], seed=167)
 
 
 # -- the crossing scan against the dense reference ----------------------------
