@@ -290,12 +290,19 @@ def _parse_letterset(text: str) -> frozenset[str]:
     return frozenset(_letter(l) for l in text.split(","))
 
 
+# The LinkRecord field set by each key that a stanza may give only once
+_SINGLE_KEYS = {"braid": "braid", "cert": "certificate", "invertible": "invertible", "outer": "outer",
+                "mirror-of": "mirror_of", "chi_s": "stated_chi_s", "chi_minus": "stated_chi_minus",
+                "split-sum-of": "sum_kind", "connected-sum-of": "sum_kind"}
+
+
 def parse_kb(text: str) -> list[LinkRecord]:
     """Read the line-based knowledge-base format.
 
     Every stanza starts with ``link NAME`` and carries indented-or-not
-    property lines until the next stanza.  Unknown keys are an error; the
-    format is deliberately small.
+    property lines until the next stanza.  Unknown keys are an error, and
+    so is a second line of a key other than ``axiom`` and ``expect`` in one
+    stanza; the format is deliberately small.
     """
     records: list[LinkRecord] = []
     cur: dict | None = None  # LinkRecord fields given so far
@@ -331,6 +338,8 @@ def parse_kb(text: str) -> list[LinkRecord]:
                 continue
             if cur is None:
                 raise ClassifyError("property before any link stanza")
+            if _SINGLE_KEYS.get(key) in cur:
+                raise ClassifyError("%s given twice" % key)
             if key == "braid":
                 cur["braid"] = parse_braid(" ".join(args))
             elif key == "cert":

@@ -10,6 +10,7 @@ Diagnostics go to stderr; the report stream stays machine-friendly under
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -256,6 +257,7 @@ def _option(flag: str, **kw) -> argparse.ArgumentParser:
     return parent
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     machine = _option("--machine", action="store_true", help="key=value output")
     skein = _option("--skein-budget", type=int, default=DEFAULT_SKEIN_BUDGET, dest="skein_budget",

@@ -12,20 +12,39 @@ to a sample point, matched depths, near-parallel hits, pole on the link)
 are rejected and retried with a fresh chart deterministically derived
 from the seed.
 
-The crossing scan has two stages.  Each polygon's segments are cut into
-chunks of _CHUNK consecutive segments, and each chunk gets its bounding
-box padded by _PAD on every side.  Only segment pairs from chunks whose
-padded boxes overlap reach the exact test, which is unchanged: the same
-formulas, tolerances and guards, visited in the same (i, j) order, so
-the crossings and the first rejection are exactly those of a test over
-every pair.  Nothing is lost at the broadphase.  A hit lies on both
-segments (up to a 1e-7 fraction of their length), so both boxes hold it.
-The near-parallel guard fires on segments whose start points are within
-2e-2 of each other on each axis; each box holds its segment's start
-point, and two boxes that close overlap once each is padded by more than
-1e-2 (2 * _PAD = 0.03 in total).  For a curve against itself only chunk
-pairs ci <= cj are kept: hits with i > j are skipped anyway and the
-guard is symmetric in i and j.
+The crossing scan (_scan) runs once per chart over all curves.  Each
+polygon's segments are cut into chunks of _CHUNK consecutive segments;
+parametrize gives every curve a multiple of 64 samples, so no chunk
+straddles two curves.  Each chunk gets its bounding box padded by _PAD on
+every side.  For each curve x in order, the chunks of x are paired with
+the chunks of x and of every later curve, keeping chunk pairs ci <= cj:
+that is every pair of curves x < y whole, and for a curve against itself
+the upper triangle.  Nothing is lost by the triangle: hits with i > j on
+one curve are skipped anyway and the near-parallel guard is symmetric in
+i and j.
+
+Only segment pairs from chunk pairs whose padded boxes overlap reach the
+exact test, and nothing is lost at this broadphase either.  A hit lies on
+both segments (up to a 1e-7 fraction of their length), so both boxes hold
+it.  The near-parallel guard fires on segments whose start points are
+within 2e-2 of each other on each axis; each box holds its segment's
+start point, and two boxes that close overlap once each is padded by
+more than 1e-2 (2 * _PAD = 0.03 in total).
+
+The exact test works on blocks of _CHUNK x _CHUNK cells, one segment pair
+per cell, but its arithmetic is that of a test of one pair at a time: the
+same float64 expressions on the same operands, with the same tolerances.
+det, the start-point differences and s are computed on every cell, t only
+where det is nonzero (|det| > 1e-12) and s is in range, and the
+near-parallel guard only where det is not.  Elementwise float64
+arithmetic does not depend on how cells are grouped, so every crossing is
+bit-identical to that of a dense test over every pair.
+
+A chart is rejected for the first problem a pair-by-pair scan over curve
+pairs (x, y), x <= y, would meet: the pair's first borderline hit (too
+close to a sample point, or matched depths) in (i, j) order, else its
+near-parallel guard.  All pairs of curve x are settled before curve x + 1
+is tested, so a rejected chart stops at the first curve with a problem.
 
 Two orientation conventions are supported.  "ccw" traverses every oval
 counterclockwise in the z-plane, matching the winding bookkeeping of the
@@ -52,21 +71,21 @@ class _RetryProjection(Exception):
 
 
 _GOLDEN = 2.399963229728653  # angular spread for the w-phases
-# Samples per oval at most; the chunk-overlap matrix of a curve pair then
-# holds at most (2^15 / _CHUNK)^2 = 4096^2 bools (16 MiB).
-_MAX_SAMPLES = 1 << 15
+_MAX_SAMPLES = 1 << 15  # samples per oval at most
 
 # Broadphase of the crossing scan; see the module docstring.
 _CHUNK = 8  # consecutive segments per box
 _PAD = 0.015  # added on every side of a box
 _BATCH = 2048  # chunk pairs per exact-test batch, at most 2048 * 64 cells
+# Chunk pairs in one overlap block at most, (_MAX_SAMPLES / _CHUNK)^2 bools
+# (16 MiB); a curve's rows meet the later chunks in column steps that fit.
+_NEAR_BLOCK = (_MAX_SAMPLES // _CHUNK) ** 2
 # Smallest radius auto_geometry places.  A chain given without geometry
 # projects at depth 15 (radius 1.0e-7) and at depth 16 (3.5e-8) no chart is
 # generic; a few levels further the radii fall through check_geometry's
 # 1e-9 tolerance and then underflow to 0.
 _MIN_AUTO_RADIUS = 1e-7
 _CHARTS = 64  # charts oval_link_pd tries before it gives up
-_CELL_I, _CELL_J = np.divmod(np.arange(_CHUNK * _CHUNK), _CHUNK)
 
 
 def auto_geometry(forest: OvalForest) -> OvalForest:
@@ -202,79 +221,109 @@ def _project(curves: list[tuple[int, np.ndarray]], pole: np.ndarray,
     return out
 
 
-def _chunk_boxes(p0: np.ndarray, p1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Padded bounding boxes (lo, hi) of the segments p0[k] -> p1[k], taken
-    in runs of _CHUNK consecutive segments."""
-    starts = np.arange(0, len(p0), _CHUNK)
-    lo = np.minimum.reduceat(np.minimum(p0, p1), starts) - _PAD
-    hi = np.maximum.reduceat(np.maximum(p0, p1), starts) + _PAD
-    return lo, hi
+def _cell_segments(cell: np.ndarray, bi: np.ndarray, bj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Segment indices (i, j) of the flat cells ``cell`` of an exact-test
+    batch: cell [u, v, k] tests segment u of chunk bi[k] against segment v
+    of chunk bj[k]."""
+    uv, k = np.divmod(cell, len(bi))
+    return bi[k] * _CHUNK + uv // _CHUNK, bj[k] * _CHUNK + uv % _CHUNK
 
 
-def _segment_crossings(pa: np.ndarray, pb: np.ndarray, same: bool):
-    """All transverse crossings between closed polygons pa, pb in the
-    plane (first two columns); third column is depth.  Returns tuples
-    (i, s, j, t, depth_a, depth_b, da, db) in (i, j) order, with da/db the
-    plane tangents.  Raises _RetryProjection on any borderline hit: the
-    first one in (i, j) order, else on near-parallel close segments.
+def _scan(proj: list[tuple[int, np.ndarray]]) -> list[tuple]:
+    """All transverse crossings of the closed polygons ``proj`` (oval id,
+    rows x, y, depth) in the plane.  Returns tuples
+    (x, y, i, s, j, t, depth_x, depth_y, dx, dy) in (x, y, i, j) order:
+    segment i of curve x meets segment j of curve y (x <= y, and i < j
+    when x == y) at fractions s and t along them, at those depths, and
+    dx, dy are the two plane tangents.
 
-    Only segment pairs whose chunks' padded boxes overlap are tested; see
-    the module docstring for why no hit and no guard is lost."""
-    a0 = pa[:, :2]
-    a1 = np.roll(pa[:, :2], -1, axis=0)
-    b0 = pb[:, :2]
-    b1 = np.roll(pb[:, :2], -1, axis=0)
-    da = a1 - a0
-    db = b1 - b0
-    na, nb = len(a0), len(b0)
-    lo_a, hi_a = _chunk_boxes(a0, a1)
-    lo_b, hi_b = _chunk_boxes(b0, b1)
-    near = np.all((lo_a[:, None] <= hi_b[None, :]) & (lo_b[None, :] <= hi_a[:, None]), axis=2)
-    if same:
-        # hits with i > j are skipped and the close guard is symmetric
-        near = np.triu(near)
-    chunk_pairs = np.argwhere(near) * _CHUNK
-    hits = []
-    near_parallel = False
-    for k in range(0, len(chunk_pairs), _BATCH):
-        batch = chunk_pairs[k:k + _BATCH]
-        i = (batch[:, :1] + _CELL_I).ravel()
-        j = (batch[:, 1:] + _CELL_J).ravel()
-        inside = (i < na) & (j < nb)
-        i, j = i[inside], j[inside]
-        dai, dbj = da[i], db[j]
-        det = dai[:, 0] * dbj[:, 1] - dai[:, 1] * dbj[:, 0]
-        diff0 = b0[j, 0] - a0[i, 0]
-        diff1 = b0[j, 1] - a0[i, 1]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            s = (diff0 * dbj[:, 1] - diff1 * dbj[:, 0]) / det
-            t = (diff0 * dai[:, 1] - diff1 * dai[:, 0]) / det
-        ok = np.abs(det) > 1e-12
-        hit = ok & (s > -1e-7) & (s < 1 + 1e-7) & (t > -1e-7) & (t < 1 + 1e-7)
-        # near-parallel overlapping segments that produced no solvable hit
-        close = ~ok & (np.abs(diff0) < 2e-2) & (np.abs(diff1) < 2e-2)
-        if same:
-            gap = (j - i) % na
-            hit &= (gap != 0) & (gap != 1) & (gap != na - 1) & (i <= j)
-            close &= (np.abs(i - j) > 1) & (np.abs(i - j) < na - 1)
-        hits.append((i[hit], s[hit], j[hit], t[hit]))
-        near_parallel = near_parallel or bool(np.any(close))
+    Raises _RetryProjection on the first problem in that order: for each
+    pair of curves, its first borderline hit in (i, j) order, else its
+    near-parallel close segments.  The pairs of curve x are settled before
+    curve x + 1 is scanned.  Only segment pairs whose chunks' padded boxes
+    overlap are tested; see the module docstring for why no hit and no
+    guard is lost."""
+    sizes = [len(p) for _, p in proj]
+    # parametrize gives every curve a multiple of 64 samples, so no chunk
+    # straddles two curves
+    assert all(n % _CHUNK == 0 for n in sizes)
+    first = np.cumsum([0] + sizes)
+    p0 = np.concatenate([p for _, p in proj])
+    p1 = np.concatenate([np.roll(p, -1, axis=0) for _, p in proj])
+    tangent = p1[:, :2] - p0[:, :2]
+    # padded chunk boxes, one array per side and axis
+    lox, loy = (np.minimum(p0[:, k], p1[:, k]).reshape(-1, _CHUNK).min(axis=1) - _PAD for k in (0, 1))
+    hix, hiy = (np.maximum(p0[:, k], p1[:, k]).reshape(-1, _CHUNK).max(axis=1) + _PAD for k in (0, 1))
+    # start x, y and tangent x, y of segment u of chunk c at [:, u, c]; the
+    # chunk axis is last so the exact test runs along long contiguous rows
+    chunks = np.stack([p0[:, 0], p0[:, 1], tangent[:, 0], tangent[:, 1]]).reshape(4, -1, _CHUNK)
+    chunks = np.ascontiguousarray(chunks.transpose(0, 2, 1))
+    owner = np.repeat(np.arange(len(proj)), np.array(sizes, dtype=int) // _CHUNK)
+    nchunks = len(lox)
     eps = 1e-6
     results = []
-    if hits:
-        hit_i, hit_s, hit_j, hit_t = (np.concatenate(col) for col in zip(*hits))
-        for n in np.lexsort((hit_j, hit_i)):
-            i, si, j, tj = hit_i[n], hit_s[n], hit_j[n], hit_t[n]
-            if si < eps or si > 1 - eps or tj < eps or tj > 1 - eps:
-                raise _RetryProjection("crossing too close to a sample point")
-            depth_a = pa[i, 2] + si * (pa[(i + 1) % na, 2] - pa[i, 2])
-            depth_b = pb[j, 2] + tj * (pb[(j + 1) % nb, 2] - pb[j, 2])
-            if abs(depth_a - depth_b) < 1e-8:
-                raise _RetryProjection("matched depths at a crossing")
-            results.append((int(i), float(si), int(j), float(tj),
-                            float(depth_a), float(depth_b), da[i], db[j]))
-    if near_parallel:
-        raise _RetryProjection("near-parallel segments")
+    for x, n in enumerate(sizes):
+        r0, r1 = first[x] // _CHUNK, first[x + 1] // _CHUNK
+        step = _NEAR_BLOCK // (r1 - r0)
+        found = []  # (global i, global j, s, t) of each hit
+        close_j = []  # global j of each near-parallel close cell
+        for c0 in range(r0, nchunks, step):
+            c1 = min(c0 + step, nchunks)
+            rows, cols = slice(r0, r1), slice(c0, c1)
+            near = ((lox[rows, None] <= hix[cols]) & (lox[cols] <= hix[rows, None])
+                    & (loy[rows, None] <= hiy[cols]) & (loy[cols] <= hiy[rows, None]))
+            # chunk pairs ci <= cj: curve x's upper triangle, later curves whole
+            ci, cj = np.nonzero(np.triu(near, r0 - c0))
+            ci += r0
+            cj += c0
+            for start in range(0, len(ci), _BATCH):
+                bi, bj = ci[start:start + _BATCH], cj[start:start + _BATCH]
+                # cells [u, v, k]; see _cell_segments
+                ax, ay, adx, ady = np.take(chunks, bi, axis=2)[:, :, None]
+                bx, by, bdx, bdy = np.take(chunks, bj, axis=2)[:, None]
+                det = adx * bdy - ady * bdx
+                diff0 = bx - ax
+                diff1 = by - ay
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    s = (diff0 * bdy - diff1 * bdx) / det
+                ok = np.abs(det) > 1e-12
+                cell = np.flatnonzero(ok & (s > -1e-7) & (s < 1 + 1e-7))
+                i, j = _cell_segments(cell, bi, bj)
+                t = (diff0.take(cell) * tangent[i, 1] - diff1.take(cell) * tangent[i, 0]) / det.take(cell)
+                keep = (t > -1e-7) & (t < 1 + 1e-7)
+                found.append((i[keep], j[keep], s.take(cell[keep]), t[keep]))
+                # near-parallel overlapping segments that produced no solvable hit
+                cell = np.flatnonzero(~ok)
+                cell = cell[(np.abs(diff0.take(cell)) < 2e-2) & (np.abs(diff1.take(cell)) < 2e-2)]
+                i, j = _cell_segments(cell, bi, bj)
+                same = owner[j // _CHUNK] == x
+                close_j.append(j[~same | ((np.abs(i - j) > 1) & (np.abs(i - j) < n - 1))])
+        # every chunk's box meets itself, so each list holds one batch at least
+        gi, gj, hit_s, hit_t = (np.concatenate(col) for col in zip(*found))
+        hit_y = owner[gj // _CHUNK]
+        li, lj = gi - first[x], gj - first[x]
+        gap = (lj - li) % n
+        keep = (hit_y != x) | ((gap != 0) & (gap != 1) & (gap != n - 1) & (li <= lj))
+        gi, gj, hit_s, hit_t, hit_y = gi[keep], gj[keep], hit_s[keep], hit_t[keep], hit_y[keep]
+        close = np.concatenate(close_j)
+        # the first curve y whose pair with x has near-parallel close segments
+        parallel_y = owner[close // _CHUNK].min() if len(close) else len(proj)
+        # in (y, i, j) order, up to the pair of the first near-parallel one
+        order = np.lexsort((gj, gi, hit_y))
+        order = order[hit_y[order] <= parallel_y]
+        gi, gj, hit_s, hit_t, hit_y = gi[order], gj[order], hit_s[order], hit_t[order], hit_y[order]
+        at_sample = (hit_s < eps) | (hit_s > 1 - eps) | (hit_t < eps) | (hit_t > 1 - eps)
+        depth_x = p0[gi, 2] + hit_s * (p1[gi, 2] - p0[gi, 2])
+        depth_y = p0[gj, 2] + hit_t * (p1[gj, 2] - p0[gj, 2])
+        bad = np.flatnonzero(at_sample | (np.abs(depth_x - depth_y) < 1e-8))
+        if len(bad):
+            raise _RetryProjection("crossing too close to a sample point" if at_sample[bad[0]]
+                                   else "matched depths at a crossing")
+        if parallel_y < len(proj):
+            raise _RetryProjection("near-parallel segments")
+        results += zip([x] * len(gi), hit_y.tolist(), (gi - first[x]).tolist(), hit_s.tolist(),
+                       (gj - first[hit_y]).tolist(), hit_t.tolist(), depth_x.tolist(), depth_y.tolist(),
+                       tangent[gi], tangent[gj])
     return results
 
 
@@ -286,21 +335,18 @@ def diagram_of_projection(proj: list[tuple[int, np.ndarray]]) -> tuple[Diagram, 
     """
     events: dict[int, list] = {ident: [] for ident, _ in proj}
     crossings_raw = []
-    for x in range(len(proj)):
-        for y in range(x, len(proj)):
-            ia, pa = proj[x]
-            ib, pb = proj[y]
-            for (i, s, j, t, dpa, dpb, da, db) in _segment_crossings(pa, pb, x == y):
-                cid = len(crossings_raw)
-                if dpa > dpb:
-                    over, under = (ia, i + s, da), (ib, j + t, db)
-                else:
-                    over, under = (ib, j + t, db), (ia, i + s, da)
-                # sign convention pinned so a +1 winding fiber pair links +1
-                sign = -1 if (over[2][0] * under[2][1] - over[2][1] * under[2][0]) > 0 else 1
-                crossings_raw.append({"sign": sign})
-                events[over[0]].append((over[1], cid, "over"))
-                events[under[0]].append((under[1], cid, "under"))
+    for (x, y, i, s, j, t, dpa, dpb, da, db) in _scan(proj):
+        ia, ib = proj[x][0], proj[y][0]
+        cid = len(crossings_raw)
+        if dpa > dpb:
+            over, under = (ia, i + s, da), (ib, j + t, db)
+        else:
+            over, under = (ib, j + t, db), (ia, i + s, da)
+        # sign convention pinned so a +1 winding fiber pair links +1
+        sign = -1 if (over[2][0] * under[2][1] - over[2][1] * under[2][0]) > 0 else 1
+        crossings_raw.append({"sign": sign})
+        events[over[0]].append((over[1], cid, "over"))
+        events[under[0]].append((under[1], cid, "under"))
     arc = 0
     components = []
     comp_ids = []

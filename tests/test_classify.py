@@ -80,6 +80,23 @@ def test_parse_kb_rejects_a_value_of_the_wrong_shape(line, why):
         parse_kb("link A\nbraid BR[2,{1,1}]\n%s\n" % line)
 
 
+@pytest.mark.parametrize("line", ["braid BR[2,{1,1,1}]", "cert :1 :1", "invertible yes", "outer no",
+                                  "mirror-of B", "chi_s 2", "chi_minus -", "split-sum-of B C",
+                                  "connected-sum-of B C"])
+def test_parse_kb_rejects_a_repeated_single_valued_key(line):
+    key = line.split()[0]
+    lineno = 3 if key == "braid" else 4
+    with pytest.raises(ClassifyError, match="^kb line %d: %s given twice$" % (lineno, key)):
+        parse_kb("link A\nbraid BR[2,{1,1}]\n%s\n%s\n" % (line, line))
+
+
+def test_parse_kb_lets_axiom_and_expect_repeat():
+    rec = parse_kb("link A\nbraid BR[2,{1,1}]\naxiom Q yes a\naxiom SB no b\n"
+                   "expect Q yes\nexpect SB no b\n")[0]
+    assert [(a.cls, a.verdict) for a in rec.axioms] == [("Q", "yes"), ("SB", "no")]
+    assert sorted(rec.expected) == ["Q", "SB"]
+
+
 def test_parse_kb_reads_every_exact_shape():
     rec = parse_kb(
         "link B\nbraid BR[2,{1}]\n"

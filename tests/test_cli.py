@@ -10,7 +10,7 @@ import time
 import pytest
 
 from cbound.braids import BraidWord
-from cbound.cli import main
+from cbound.cli import build_parser, main
 from cbound.diagrams import from_braid
 from cbound.notation import render_pd
 
@@ -158,6 +158,24 @@ def test_a_kb_typo_exits_1_naming_its_line(capsys, tmp_path, line):
     code, out, err = run(capsys, "table1", str(kb))
     assert code == 1 and out == ""
     assert err.startswith("error: kb line 3: ")
+
+
+@pytest.mark.parametrize("lines, error", [
+    ("chi_s 0\nchi_s 2", "kb line 4: chi_s given twice"),
+    ("cert :1 :1\nbraid BR[3,{1,2}]", "kb line 4: braid given twice"),
+])
+def test_a_repeated_kb_key_exits_1_naming_its_line(capsys, tmp_path, lines, error):
+    kb = tmp_path / "twice.kb"
+    kb.write_text("link A\nbraid BR[2,{1,1}]\n%s\n" % lines)
+    assert run(capsys, "table1", str(kb)) == (1, "", "error: %s\n" % error)
+
+
+def test_main_builds_its_parser_once(capsys):
+    argvs = [("homfly", "BR[2,{1,1,1}]"), ("lk", "BR[2,{1,1}]", "--machine"), ("homfly", "BR[2,{1,1,1}]")]
+    got = [run(capsys, *argv) for argv in argvs]
+    fresh = [cli(*argv) for argv in argvs]
+    assert got == [(p.returncode, p.stdout, p.stderr) for p in fresh]
+    assert build_parser() is build_parser()
 
 
 def test_classify_output(capsys, fixtures_dir):

@@ -13,7 +13,7 @@ from cbound.embed import (
     _chart,
     _project,
     _RetryProjection,
-    _segment_crossings,
+    _scan,
     auto_geometry,
     check_geometry,
     oval_link_lk,
@@ -206,16 +206,26 @@ def dense_segment_crossings(pa: np.ndarray, pb: np.ndarray, same: bool):
     return results
 
 
-def _outcome(scan, pa, pb, same):
+def dense_scan(proj):
+    """Reference per-chart scan: dense_segment_crossings on every curve pair
+    (x, y), x <= y, in (x, y) order, each crossing prefixed with (x, y)."""
+    out = []
+    for x in range(len(proj)):
+        for y in range(x, len(proj)):
+            out += [(x, y) + row for row in dense_segment_crossings(proj[x][1], proj[y][1], x == y)]
+    return out
+
+
+def _outcome(scan, proj):
     """Crossing tuples with the tangents as plain floats, or the retry."""
     try:
-        return [row[:6] + (tuple(row[6]), tuple(row[7])) for row in scan(pa, pb, same)]
+        return [row[:8] + (tuple(row[8]), tuple(row[9])) for row in scan(proj)]
     except _RetryProjection as exc:
         return "retry: %s" % exc
 
 
 def _compare_scans(forest, orientation, scale, seed, charts) -> list:
-    """Outcome of every curve pair on each chart; asserts both scans agree."""
+    """Outcome of the scan on each chart; asserts both scans agree."""
     curves = parametrize(auto_geometry(forest), orientation, scale)
     outcomes = []
     for attempt in range(charts):
@@ -223,13 +233,9 @@ def _compare_scans(forest, orientation, scale, seed, charts) -> list:
             proj = _project(curves, *_chart(seed, attempt))
         except _RetryProjection:
             continue
-        for x in range(len(proj)):
-            for y in range(x, len(proj)):
-                pa, pb = proj[x][1], proj[y][1]
-                want = _outcome(dense_segment_crossings, pa, pb, x == y)
-                got = _outcome(_segment_crossings, pa, pb, x == y)
-                assert got == want, (forest.ids(), orientation, scale, seed, attempt, x, y)
-                outcomes.append(got)
+        got = _outcome(_scan, proj)
+        assert got == _outcome(dense_scan, proj), (forest.ids(), orientation, scale, seed, attempt)
+        outcomes.append(got)
     return outcomes
 
 
@@ -262,6 +268,18 @@ def test_broadphase_scan_matches_dense_reference_on_fixtures(fixtures_dir):
             _compare_scans(f, orientation, 2, 0, 3)
 
 
+def test_scan_in_narrow_column_steps_matches_dense_reference(monkeypatch):
+    # 100 chunk pairs per overlap block: a curve's 32-56 chunk rows meet the
+    # chunks of its own and later curves 1-3 columns at a time
+    monkeypatch.setattr(embed, "_NEAR_BLOCK", 100)
+    forests = _criterion7_forests(168)
+    outcomes = []
+    for k in (0, 1, 2, 167):
+        outcomes += _compare_scans(forests[k], "ccw", 1, k, 2)
+    assert any(isinstance(o, list) and o for o in outcomes)
+    assert "retry: near-parallel segments" in outcomes
+
+
 def _rectangle(x0, x1, y0, y1, per_side, depth):
     """Closed polygon around a rectangle, starting at (x0, y1) along the top
     edge, per_side segments to a side; constant depth."""
@@ -276,23 +294,58 @@ def _rectangle(x0, x1, y0, y1, per_side, depth):
 
 def test_near_parallel_guard_survives_broadphase(monkeypatch):
     # two parallel edges 0.019 apart: no hit, only the 2e-2 guard sees them
-    pa = _rectangle(0.0, 1.0, -1.0, 0.0, 32, 0.0)
-    pb = _rectangle(0.0, 1.0, 0.019, 1.0, 32, 1.0)
-    for scan in (dense_segment_crossings, _segment_crossings):
+    proj = [(1, _rectangle(0.0, 1.0, -1.0, 0.0, 32, 0.0)),
+            (2, _rectangle(0.0, 1.0, 0.019, 1.0, 32, 1.0))]
+    for scan in (dense_scan, _scan):
         with pytest.raises(_RetryProjection, match="near-parallel segments"):
-            scan(pa, pb, False)
+            scan(proj)
     # without the pad the chunk boxes of those edges would not meet
     monkeypatch.setattr(embed, "_PAD", 0.0)
-    assert _segment_crossings(pa, pb, False) == []
+    assert _scan(proj) == []
 
 
 def test_crossing_at_a_sample_point_survives_broadphase():
-    # the edges of pa and pb meet at (0.25, 0), a vertex of both
-    pa = _rectangle(0.0, 1.0, -1.0, 0.0, 32, 0.0)
-    pb = _rectangle(0.25, 0.75, -0.5, 0.5, 32, 1.0)
-    for scan in (dense_segment_crossings, _segment_crossings):
+    # the edges of the two rectangles meet at (0.25, 0), a vertex of both
+    proj = [(1, _rectangle(0.0, 1.0, -1.0, 0.0, 32, 0.0)),
+            (2, _rectangle(0.25, 0.75, -0.5, 0.5, 32, 1.0))]
+    for scan in (dense_scan, _scan):
         with pytest.raises(_RetryProjection, match="too close to a sample point"):
-            scan(pa, pb, False)
+            scan(proj)
+
+
+# Three rectangles: MIDDLE's top edge runs 0.019 below TOP's bottom edge
+# (near-parallel, no hit); BOTTOM's sides cross MIDDLE's bottom edge at
+# vertices of both (crossings at a sample point).  TOP and BOTTOM are far
+# apart.
+TOP = _rectangle(0.0, 1.0, 0.019, 1.0, 32, 1.0)
+MIDDLE = _rectangle(0.0, 1.0, -1.0, 0.0, 32, 0.0)
+BOTTOM = _rectangle(0.25, 0.75, -1.5, -0.5, 32, 2.0)
+NEAR_PARALLEL = "near-parallel segments"
+AT_SAMPLE = "crossing too close to a sample point"
+
+
+@pytest.mark.parametrize("curves,reason", [
+    # pair (0, 1) near-parallel, pair (1, 2) at a sample point, and mirrored
+    ((TOP, MIDDLE, BOTTOM), NEAR_PARALLEL),
+    ((BOTTOM, MIDDLE, TOP), AT_SAMPLE),
+    # both problems in the pairs of curve 0: (0, 1) comes before (0, 2)
+    ((MIDDLE, TOP, BOTTOM), NEAR_PARALLEL),
+    ((MIDDLE, BOTTOM, TOP), AT_SAMPLE),
+])
+def test_first_rejection_is_that_of_the_first_curve_pair(curves, reason):
+    proj = list(enumerate(curves, start=1))
+    assert _outcome(dense_scan, proj) == _outcome(_scan, proj) == "retry: " + reason
+
+
+def test_a_self_crossing_inside_one_chunk_is_found_once():
+    # segment 1 runs (1, 0) -> (2, 0) and segment 4 runs (1.5, 1) -> (1.5, -1):
+    # both in chunk 0, so only the i <= j filter keeps the cell (4, 1) out
+    pts = [(0, 0), (1, 0), (2, 0), (2, 1), (1.5, 1), (1.5, -1), (1.5, -2), (1, -2),
+           (0, -2), (-1, -2), (-1, -1.5), (-1, -1), (-1, -0.5), (-1, 0), (-0.5, 0.5), (-0.5, 0.2)]
+    curve = np.column_stack([np.array(pts, dtype=float), np.arange(len(pts), dtype=float)])
+    got = _outcome(_scan, [(1, curve)])
+    assert got == _outcome(dense_scan, [(1, curve)])
+    assert [row[:6] for row in got] == [(0, 0, 1, 0.5, 4, 0.5)]
 
 
 def _pd_outputs(fixtures_dir):
@@ -309,5 +362,5 @@ def _pd_outputs(fixtures_dir):
 
 def test_pd_output_identical_to_dense_reference(fixtures_dir, monkeypatch):
     got = _pd_outputs(fixtures_dir)
-    monkeypatch.setattr(embed, "_segment_crossings", dense_segment_crossings)
+    monkeypatch.setattr(embed, "_scan", dense_scan)
     assert got == _pd_outputs(fixtures_dir)
