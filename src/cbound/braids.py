@@ -56,7 +56,8 @@ class BraidWord:
 class QPFactorization:
     """A product of conjugated positive generators ``w σ_j w^{-1}``.
 
-    ``factors`` holds pairs ``(conjugator_letters, j)`` with ``j > 0``.
+    ``factors`` holds pairs ``(conjugator_letters, j)`` with ``j > 0``;
+    every letter must be one of a braid on ``strands`` strands.
     """
 
     strands: int
@@ -68,6 +69,7 @@ class QPFactorization:
             conj = tuple(conj)
             if j <= 0:
                 raise BraidError("quasipositive generator index must be positive, got %r" % (j,))
+            BraidWord(self.strands, conj + (j,))  # raises on a letter out of range
             fixed.append((conj, j))
         object.__setattr__(self, "factors", tuple(fixed))
 
@@ -488,15 +490,12 @@ def seifert_matrix_of_closure(b: BraidWord) -> list[list[Fraction]]:
                     v[a][bidx], v[bidx][a] = Fraction(1), Fraction(0)
                 else:
                     v[a][bidx], v[bidx][a] = Fraction(0), Fraction(-1)
+            # loops are listed by ascending column, so a later loop sits in
+            # column i or i + 1, never i - 1
             elif j == i + 1:
                 if t1 < u1 < t2 < u2:
                     v[a][bidx], v[bidx][a] = Fraction(1), Fraction(0)
                 elif u1 < t1 < u2 < t2:
-                    v[a][bidx], v[bidx][a] = Fraction(0), Fraction(-1)
-            elif j == i - 1:
-                if u1 < t1 < u2 < t2:
-                    v[a][bidx], v[bidx][a] = Fraction(1), Fraction(0)
-                elif t1 < u1 < t2 < u2:
                     v[a][bidx], v[bidx][a] = Fraction(0), Fraction(-1)
     return v
 

@@ -13,6 +13,7 @@ report compares the whole ledger against expected table fixtures.
 from __future__ import annotations
 
 import functools
+import graphlib
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
@@ -381,32 +382,20 @@ def parse_kb(text: str) -> list[LinkRecord]:
 
 
 def _validate_records(records: list[LinkRecord]):
-    byname = {}
+    refs = {}  # record name -> the names it refers to
     for r in records:
-        if r.name in byname:
+        if r.name in refs:
             raise ClassifyError("duplicate record name %r" % r.name)
-        byname[r.name] = r
-    for r in records:
-        for ref in (r.summands or ()) + ((r.mirror_of,) if r.mirror_of else ()):
-            if ref not in byname:
-                raise ClassifyError("record %s refers to unknown link %r" % (r.name, ref))
-    # relations must not loop back: a depth-first walk from every record in
-    # turn along mirror-of, then sum, references; records on the path are
-    # marked 1, finished ones 2
-    state: dict[str | None, int] = {}
-    path = [(None, iter(byname))]
-    while path:
-        name, refs = path[-1]
-        ref = next(refs, None)
-        if ref is None:
-            state[name] = 2
-            path.pop()
-        elif state.get(ref) == 1:
-            raise ClassifyError("cyclic relation through %s" % ref)
-        elif ref not in state:
-            state[ref] = 1
-            r = byname[ref]
-            path.append((ref, iter(((r.mirror_of,) if r.mirror_of else ()) + r.summands)))
+        refs[r.name] = r.summands + ((r.mirror_of,) if r.mirror_of else ())
+    for name, targets in refs.items():
+        for ref in targets:
+            if ref not in refs:
+                raise ClassifyError("record %s refers to unknown link %r" % (name, ref))
+    # relations must not loop back
+    try:
+        graphlib.TopologicalSorter(refs).prepare()
+    except graphlib.CycleError as exc:
+        raise ClassifyError("cyclic relation through %s" % exc.args[1][0]) from None
 
 
 def verify_certificates(records: list[LinkRecord]) -> list[str]:

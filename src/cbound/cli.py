@@ -251,6 +251,17 @@ def cmd_table1(args) -> int:
     return 3 if mismatches else 0
 
 
+def _count(text: str) -> int:
+    """argparse type of a count, budget or seed: an integer >= 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError("expected an integer >= 0, got %r" % text)
+    return value
+
+
 def _option(flag: str, **kw) -> argparse.ArgumentParser:
     parent = argparse.ArgumentParser(add_help=False)
     parent.add_argument(flag, **kw)
@@ -260,24 +271,24 @@ def _option(flag: str, **kw) -> argparse.ArgumentParser:
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     machine = _option("--machine", action="store_true", help="key=value output")
-    skein = _option("--skein-budget", type=int, default=DEFAULT_SKEIN_BUDGET, dest="skein_budget",
+    skein = _option("--skein-budget", type=_count, default=DEFAULT_SKEIN_BUDGET, dest="skein_budget",
                     help="crossings per expanded skein node, or Hecke coefficients written on braids "
                          "of up to %d strands" % HECKE_MAX_STRANDS)
-    search = _option("--search-budget", type=int, default=DEFAULT_SEARCH_BUDGET, dest="search_budget",
+    search = _option("--search-budget", type=_count, default=DEFAULT_SEARCH_BUDGET, dest="search_budget",
                      help="node cap for the chi search")
-    seed = _option("--seed", type=int, default=0, help="projection chart seed")
+    seed = _option("--seed", type=_count, default=0, help="projection chart seed")
 
     ap = argparse.ArgumentParser(prog="cbound", description="link invariants and boundary classification")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("homfly", parents=[machine, skein], help="skein polynomial of a braid closure or PD code")
     p.add_argument("input", help="BR[...] or PD[...] literal, or a file holding one")
-    p.add_argument("--unknots", type=int, default=None, help="free loop count for crossingless PD input")
+    p.add_argument("--unknots", type=_count, default=None, help="free loop count for crossingless PD input")
     p.set_defaults(func=cmd_homfly)
 
     p = sub.add_parser("lk", parents=[machine], help="linking matrix")
     p.add_argument("input")
-    p.add_argument("--unknots", type=int, default=None)
+    p.add_argument("--unknots", type=_count, default=None)
     p.set_defaults(func=cmd_lk)
 
     p = sub.add_parser("chi", parents=[machine, skein, search], help="two-sided slice characteristic bounds")

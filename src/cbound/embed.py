@@ -6,11 +6,12 @@ Each oval (center c, radius r, winding a) becomes the closed curve
 
 living on S^3 in C^2; a zero-radius oval is the vertical circle over its
 center.  The curves are sampled as closed polygons, pushed through a
-seeded stereographic projection, and scanned for segment crossings to
-produce a bona fide diagram.  Degenerate projections (crossing too close
-to a sample point, matched depths, near-parallel hits, pole on the link)
-are rejected and retried with a fresh chart deterministically derived
-from the seed.
+seeded stereographic projection, and scanned for segment crossings.  The
+scan decides each crossing (the strand at the greater depth is over, and
+the plane tangents give the sign); the diagram only numbers the arcs.
+Degenerate projections (crossing too close to a sample point, matched
+depths, near-parallel hits, pole on the link) are rejected and retried
+with a fresh chart deterministically derived from the seed.
 
 The crossing scan (_scan) runs once per chart over all curves.  Each
 polygon's segments are cut into chunks of _CHUNK consecutive segments;
@@ -231,11 +232,12 @@ def _cell_segments(cell: np.ndarray, bi: np.ndarray, bj: np.ndarray) -> tuple[np
 
 def _scan(proj: list[tuple[int, np.ndarray]]) -> list[tuple]:
     """All transverse crossings of the closed polygons ``proj`` (oval id,
-    rows x, y, depth) in the plane.  Returns tuples
-    (x, y, i, s, j, t, depth_x, depth_y, dx, dy) in (x, y, i, j) order:
-    segment i of curve x meets segment j of curve y (x <= y, and i < j
-    when x == y) at fractions s and t along them, at those depths, and
-    dx, dy are the two plane tangents.
+    rows x, y, depth) in the plane, each decided.  Returns tuples
+    (x, y, u, v, x_over, sign) in (x, y, i, j) order: segment i of curve x
+    meets segment j of curve y (x <= y, and i < j when x == y) at fractions
+    s and t along them, at positions u = i + s and v = j + t along the
+    curves.  The strand at the greater depth is over (x_over: that of x),
+    and sign is the crossing sign.
 
     Raises _RetryProjection on the first problem in that order: for each
     pair of curves, its first borderline hit in (i, j) order, else its
@@ -321,9 +323,13 @@ def _scan(proj: list[tuple[int, np.ndarray]]) -> list[tuple]:
                                    else "matched depths at a crossing")
         if parallel_y < len(proj):
             raise _RetryProjection("near-parallel segments")
-        results += zip([x] * len(gi), hit_y.tolist(), (gi - first[x]).tolist(), hit_s.tolist(),
-                       (gj - first[hit_y]).tolist(), hit_t.tolist(), depth_x.tolist(), depth_y.tolist(),
-                       tangent[gi], tangent[gj])
+        x_over = depth_x > depth_y
+        # sign pinned so a +1 winding fiber pair links +1: -(over x under).
+        # tangent[gi] x tangent[gj] is the hit's det (never 0), negated if y is over
+        turn = tangent[gi, 0] * tangent[gj, 1] - tangent[gi, 1] * tangent[gj, 0]
+        sign = np.where((turn > 0) == x_over, -1, 1)
+        results += zip([x] * len(gi), hit_y.tolist(), ((gi - first[x]) + hit_s).tolist(),
+                       ((gj - first[hit_y]) + hit_t).tolist(), x_over.tolist(), sign.tolist())
     return results
 
 
@@ -333,48 +339,27 @@ def diagram_of_projection(proj: list[tuple[int, np.ndarray]]) -> tuple[Diagram, 
     Returns the diagram plus the oval ids of its components in component
     order (curves without crossings become free loops, listed last).
     """
-    events: dict[int, list] = {ident: [] for ident, _ in proj}
-    crossings_raw = []
-    for (x, y, i, s, j, t, dpa, dpb, da, db) in _scan(proj):
-        ia, ib = proj[x][0], proj[y][0]
-        cid = len(crossings_raw)
-        if dpa > dpb:
-            over, under = (ia, i + s, da), (ib, j + t, db)
-        else:
-            over, under = (ib, j + t, db), (ia, i + s, da)
-        # sign convention pinned so a +1 winding fiber pair links +1
-        sign = -1 if (over[2][0] * under[2][1] - over[2][1] * under[2][0]) > 0 else 1
-        crossings_raw.append({"sign": sign})
-        events[over[0]].append((over[1], cid, "over"))
-        events[under[0]].append((under[1], cid, "under"))
+    # per curve, its passages (position, crossing, in-slot 0 under or 2 over)
+    events = [[] for _ in proj]
+    crossings = []
+    for cid, (x, y, u, v, x_over, sign) in enumerate(_scan(proj)):
+        events[x].append((u, cid, 2 if x_over else 0))
+        events[y].append((v, cid, 0 if x_over else 2))
+        crossings.append([0, 0, 0, 0, sign])
+    components, comp_ids, free = [], [], []
     arc = 0
-    components = []
-    comp_ids = []
-    slots = [dict() for _ in crossings_raw]
-    for ident, _ in proj:
-        evs = sorted(events[ident])
+    for (ident, _), evs in zip(proj, events):
         if not evs:
+            free.append(ident)
             continue
-        comp_arcs = []
         n = len(evs)
-        first_arc = arc + 1
-        for k, (_, cid, role) in enumerate(evs):
-            incoming = arc + 1 + k
-            outgoing = first_arc + (k + 1) % n
-            comp_arcs.append(incoming)
-            if role == "over":
-                slots[cid]["oi"] = incoming
-                slots[cid]["oo"] = outgoing
-            else:
-                slots[cid]["ui"] = incoming
-                slots[cid]["uo"] = outgoing
-        arc += n
-        components.append(comp_arcs)
+        for k, (_, cid, slot) in enumerate(sorted(evs)):
+            crossings[cid][slot] = arc + 1 + k
+            crossings[cid][slot + 1] = arc + 1 + (k + 1) % n
+        components.append(list(range(arc + 1, arc + n + 1)))
         comp_ids.append(ident)
-    free = [ident for ident, _ in proj if not events[ident]]
-    crossings = [(s["ui"], s["uo"], s["oi"], s["oo"], crossings_raw[k]["sign"])
-                 for k, s in enumerate(slots)]
-    diag = Diagram(crossings, components, free_loops=len(free))
+        arc += n
+    diag = Diagram([tuple(c) for c in crossings], components, free_loops=len(free))
     return diag, comp_ids + free
 
 

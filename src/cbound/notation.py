@@ -264,7 +264,8 @@ def parse_pd(text: str, unknots: int | None = None) -> Diagram:
     """Read ``PD[X[a,b,c,d], ...]``.
 
     A bare ``PD[]`` carries no component information, so it is rejected
-    unless the caller supplies how many unknotted circles it stands for.
+    unless the caller supplies how many unknotted circles it stands for,
+    at least one.
     """
     tk = _Tokens(text)
     _, l0, c0 = tk.expect("name", "PD")
@@ -287,8 +288,8 @@ def parse_pd(text: str, unknots: int | None = None) -> Diagram:
     tk.expect("sym", "]")
     tk.done()
     if not tuples:
-        if unknots is None:
-            raise ParseError("empty diagram needs an explicit unknot count", l0, c0)
+        if unknots is None or unknots < 1:
+            raise ParseError("empty diagram needs an explicit unknot count of at least 1", l0, c0)
         return Diagram([], [], free_loops=unknots)
     try:
         return from_pd(tuples, free_loops=unknots or 0)

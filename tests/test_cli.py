@@ -151,7 +151,8 @@ def test_table1_mismatch_exit_code(capsys, tmp_path):
     assert "MISMATCH" in out
 
 
-@pytest.mark.parametrize("line", ["invertible yse", "outer Yes", "chi_s 1 2", "axiom Q yes a extra"])
+@pytest.mark.parametrize("line", ["invertible yse", "outer Yes", "chi_s 1 2", "axiom Q yes a extra",
+                                  "cert :5 :1 :1"])
 def test_a_kb_typo_exits_1_naming_its_line(capsys, tmp_path, line):
     kb = tmp_path / "typo.kb"
     kb.write_text("link A\nbraid BR[2,{1,1}]\n%s\n" % line)
@@ -324,10 +325,23 @@ def test_skein_budget_bounds_the_time_of_a_10000_letter_word_on_7_strands(capsys
     (["lk", "BR[2,{1,1}]", "--jobs", "2"], 1),
     (["--help"], 0),
     (["homfly", "BR[2,{1,1,1}]"], 0),
+    # a negative count, or PD[] without an unknot, is an input error
+    (["homfly", "PD[]", "--unknots", "0"], 1),
+    (["homfly", "PD[]", "--unknots", "-1"], 1),
+    (["lk", "PD[]", "--unknots", "-2"], 1),
+    (["lk", "PD[]", "--unknots", "0"], 1),
+    (["ovals", "embed", str(SRC.parent / "fixtures" / "hopf.ovals"), "--seed", "-1"], 1),
+    (["homfly", "BR[2,{1,1}]", "--skein-budget", "-1"], 1),
+    (["chi", "BR[2,{1,1}]", "--search-budget", "-5"], 1),
 ])
 def test_process_exit_codes(argv, code):
     proc = cli(*argv)
     assert proc.returncode == code, proc.stderr
+    # a traceback exits 1 too
+    assert "Traceback" not in proc.stderr
+    if code == 1:
+        assert proc.stdout == ""
+        assert sum("error:" in line for line in proc.stderr.splitlines()) == 1
 
 
 @pytest.mark.parametrize("argv", [

@@ -206,20 +206,34 @@ def dense_segment_crossings(pa: np.ndarray, pb: np.ndarray, same: bool):
     return results
 
 
+def _decide(rows):
+    """Reference crossing rule, one crossing at a time: rows (x, y, i, s, j,
+    t, depth_x, depth_y, dx, dy) become (x, y, i + s, j + t, x_over, sign).
+    The strand at the greater depth is over, and the sign is -1 where the
+    over tangent x the under tangent is positive."""
+    out = []
+    for x, y, i, s, j, t, depth_x, depth_y, dx, dy in rows:
+        over, under = (dx, dy) if depth_x > depth_y else (dy, dx)
+        sign = -1 if (over[0] * under[1] - over[1] * under[0]) > 0 else 1
+        out.append((x, y, i + s, j + t, depth_x > depth_y, sign))
+    return out
+
+
 def dense_scan(proj):
     """Reference per-chart scan: dense_segment_crossings on every curve pair
-    (x, y), x <= y, in (x, y) order, each crossing prefixed with (x, y)."""
+    (x, y), x <= y, in (x, y) order, each crossing prefixed with (x, y) and
+    decided by _decide."""
     out = []
     for x in range(len(proj)):
         for y in range(x, len(proj)):
             out += [(x, y) + row for row in dense_segment_crossings(proj[x][1], proj[y][1], x == y)]
-    return out
+    return _decide(out)
 
 
 def _outcome(scan, proj):
-    """Crossing tuples with the tangents as plain floats, or the retry."""
+    """The decided crossings, or the retry."""
     try:
-        return [row[:8] + (tuple(row[8]), tuple(row[9])) for row in scan(proj)]
+        return scan(proj)
     except _RetryProjection as exc:
         return "retry: %s" % exc
 
@@ -345,7 +359,8 @@ def test_a_self_crossing_inside_one_chunk_is_found_once():
     curve = np.column_stack([np.array(pts, dtype=float), np.arange(len(pts), dtype=float)])
     got = _outcome(_scan, [(1, curve)])
     assert got == _outcome(dense_scan, [(1, curve)])
-    assert [row[:6] for row in got] == [(0, 0, 1, 0.5, 4, 0.5)]
+    # at depths 1.5 and 4.5: segment 4, running down, passes over segment 1
+    assert got == [(0, 0, 1.5, 4.5, False, -1)]
 
 
 def _pd_outputs(fixtures_dir):
