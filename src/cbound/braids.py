@@ -272,17 +272,16 @@ def _free_reduce(word: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _destabilize(word: tuple[int, ...]) -> tuple[int, ...] | None:
-    counts: dict[int, int] = {}
-    for x in word:
-        counts[abs(x)] = counts.get(abs(x), 0) + 1
-    lone = [i for i, c in counts.items() if c == 1]
+def _destab(mags) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+    """Drop the smallest index that occurs once, letters below it first and
+    those above it renumbered one lower: the new magnitudes and the position
+    each came from, or None when no index occurs once."""
+    lone = [m for m in set(mags) if mags.count(m) == 1]
     if not lone:
         return None
     i = min(lone)
-    low = [x for x in word if abs(x) < i]
-    high = [x - 1 if x > 0 else x + 1 for x in word if abs(x) > i]
-    return tuple(low + high)
+    order = [t for t, m in enumerate(mags) if m < i] + [t for t, m in enumerate(mags) if m > i]
+    return tuple(mags[t] - (mags[t] > i) for t in order), tuple(order)
 
 
 def reduce_word(b: BraidWord) -> BraidWord:
@@ -300,8 +299,10 @@ def destabilize_isolated(b: BraidWord) -> BraidWord | None:
     the letters in place instead would interleave the blocks across the
     shared strand and generally change the link.
     """
-    dest = _destabilize(b.letters)
-    return None if dest is None else BraidWord(b.strands - 1, dest)
+    dest = _destab([abs(x) for x in b.letters])
+    if dest is None:
+        return None
+    return BraidWord(b.strands - 1, tuple(m if b.letters[t] > 0 else -m for m, t in zip(*dest)))
 
 
 _RELATION_SIGNS = {
@@ -314,39 +315,65 @@ _RELATION_SIGNS = {
 }
 
 
-def _neighbors(word: tuple[int, ...], strands: int):
-    """Rewriting moves that never increase word length.
+def _sign_bits(signs) -> int:
+    return sum(1 << k for k, s in enumerate(signs) if s < 0)
 
-    Yields (move name, new strand count, new word).  Flips come first;
-    the witness path for a flip-then-reduce simplification is then found
-    in that order.
-    """
-    # sign flips sigma^-1 -> sigma (sound for lower bounds, see chi search)
-    for t, x in enumerate(word):
-        if x < 0:
-            yield ("flip", strands, word[:t] + (-x,) + word[t + 1 :])
-    red = _free_reduce(word)
-    if red != word:
-        yield ("reduce", strands, red)
-    dest = _destabilize(word)
-    if dest is not None:
-        yield ("destab", strands - 1, dest)
-    if len(word) > 1:
-        yield ("rotate", strands, word[1:] + word[:1])
-    for t in range(len(word) - 1):
-        if abs(abs(word[t]) - abs(word[t + 1])) >= 2:
-            swapped = list(word)
-            swapped[t], swapped[t + 1] = swapped[t + 1], swapped[t]
-            yield ("commute", strands, tuple(swapped))
-    for t in range(len(word) - 2):
-        a, b, c = word[t : t + 3]
-        if abs(a) == abs(c) and abs(abs(a) - abs(b)) == 1:
-            pat = (1 if a > 0 else -1, 1 if b > 0 else -1, 1 if c > 0 else -1)
-            new = _RELATION_SIGNS.get(pat)
-            if new is not None:
-                i, j = abs(a), abs(b)
-                repl = (new[0] * j, new[1] * i, new[2] * j)
-                yield ("relation", strands, word[:t] + repl + word[t + 3 :])
+
+# the relation rule on 3-bit sign patterns, bit k set when letter t + k is negative
+_RELATION_BITS = {_sign_bits(old): _sign_bits(new) for old, new in _RELATION_SIGNS.items()}
+
+
+def _encode(strands: int, word: tuple[int, ...]) -> tuple:
+    return strands, tuple(map(abs, word)), _sign_bits(word)
+
+
+def _letters(mags: tuple[int, ...], neg: int) -> tuple[int, ...]:
+    return tuple(-m if neg >> t & 1 else m for t, m in enumerate(mags))
+
+
+def _shape(mags: tuple[int, ...]) -> tuple:
+    """The sign-free parts of the moves of a word with these magnitudes:
+    ``_destab``, the commute and relation positions, and the bitmask of
+    positions t where letters t and t + 1 have equal magnitude (the only
+    places where a pair can cancel)."""
+    n = len(mags)
+    commutes = tuple(t for t in range(n - 1) if abs(mags[t] - mags[t + 1]) > 1)
+    relations = tuple(t for t in range(n - 2) if mags[t] == mags[t + 2] and abs(mags[t] - mags[t + 1]) == 1)
+    pairs = sum(1 << t for t in range(n - 1) if mags[t] == mags[t + 1])
+    return _destab(mags), commutes, relations, pairs
+
+
+def _moves(node: tuple, shapes: dict):
+    """Rewriting moves of a search node that never increase word length, as
+    (move name, new node), flips first; the witness path for a
+    flip-then-reduce simplification is then found in that order.  ``shapes``
+    caches ``_shape`` by magnitudes."""
+    strands, mags, neg = node
+    destab, commutes, relations, pairs = shapes.get(mags) or shapes.setdefault(mags, _shape(mags))
+    # sign flips sigma^-1 -> sigma (sound for lower bounds, see chi search),
+    # clearing the set bits from low to high
+    rest = neg
+    while rest:
+        low = rest & -rest
+        yield "flip", (strands, mags, neg ^ low)
+        rest ^= low
+    if (neg ^ neg >> 1) & pairs:
+        yield "reduce", _encode(strands, _free_reduce(_letters(mags, neg)))
+    if destab is not None:
+        dmags, order = destab
+        yield "destab", (strands - 1, dmags, sum(1 << k for k, t in enumerate(order) if neg >> t & 1))
+    if len(mags) > 1:
+        yield "rotate", (strands, mags[1:] + mags[:1], neg >> 1 | (neg & 1) << len(mags) - 1)
+    for t in commutes:
+        new = list(mags)
+        new[t], new[t + 1] = mags[t + 1], mags[t]
+        yield "commute", (strands, tuple(new), neg ^ ((neg >> t ^ neg >> t + 1) & 1) * 3 << t)
+    for t in relations:
+        signs = _RELATION_BITS.get(neg >> t & 7)
+        if signs is not None:
+            new = list(mags)
+            new[t : t + 3] = mags[t + 1], mags[t], mags[t + 1]
+            yield "relation", (strands, tuple(new), neg & ~(7 << t) | signs << t)
 
 
 @dataclass
@@ -375,58 +402,64 @@ def chi_minus_lower_bound(b: BraidWord, budget: int = DEFAULT_SEARCH_BUDGET) -> 
     the score or the witness: the best terminal is replaced only by a
     strictly greater score, and nothing scores above mu; only ``explored``
     falls.
+
+    A node is ``(strands, mags, neg)``: the tuple of the letters'
+    magnitudes and an int whose bit t is set when letter t is negative, so
+    a flip clears one bit and a word is positive exactly when ``neg`` is 0.
+    The sign-free parts of the moves (``_shape``) are computed once per
+    magnitude tuple and kept in a dict that lives for this call; words are
+    decoded only along the witness path.
     """
     start = reduce_word(b)
-    start_key = (start.strands, start.letters)
+    start_node = _encode(start.strands, start.letters)
     ceiling = component_count(start)
     counter = itertools.count()
+    shapes: dict[tuple[int, ...], tuple] = {}
     # visited set is word-level: braid-relation and commutation rewrites fix
     # the group element but change which flips and cancellations exist, so
     # collapsing nodes by normal form would cut off required simplifications
-    parents: dict[tuple, tuple | None] = {start_key: None}
+    parents: dict[tuple, tuple | None] = {start_node: None}
     best_score: int | None = None
-    best_key = None
+    best_node = None
     if start.is_positive():
         best_score = start.strands - len(start.letters)
-        best_key = start_key
+        best_node = start_node
     # reaching the ceiling empties the frontier, which ends the search
-    heap: list[tuple[int, int, tuple[int, ...], int]] = []
+    heap: list[tuple[int, int, tuple]] = []
     if best_score != ceiling:
-        heap.append((len(start.letters), next(counter), start.letters, start.strands))
+        heap.append((len(start.letters), next(counter), start_node))
     explored = 0
     truncated = False
     while heap:
         if explored >= budget:
             truncated = True
             break
-        _, _, word, strands = heapq.heappop(heap)
+        node = heapq.heappop(heap)[2]
         explored += 1
-        key = (strands, word)
-        for move, ns, nw in _neighbors(word, strands):
-            nkey = (ns, nw)
-            if nkey in parents:
+        for move, new in _moves(node, shapes):
+            if new in parents:
                 continue
-            parents[nkey] = (key, move)
+            parents[new] = (node, move)
             # score on first encounter: positive words are exact realizations
-            if all(x > 0 for x in nw):
-                score = ns - len(nw)
+            if not new[2]:
+                score = new[0] - len(new[1])
                 if best_score is None or score > best_score:
                     best_score = score
-                    best_key = nkey
+                    best_node = new
                     if score == ceiling:
                         heap.clear()
                         break
-            heapq.heappush(heap, (len(nw), next(counter), nw, ns))
+            heapq.heappush(heap, (len(new[1]), next(counter), new))
     if best_score is None:
         # fall back on flipping every remaining negative letter at once; a
         # positive word has nothing left to cancel
         return ChiSearchResult(bennequin_chi(start), [], True, explored)
     path: list[tuple[str, BraidWord]] = []
-    key = best_key
-    while parents[key] is not None:
-        pkey, move = parents[key]
-        path.append((move, BraidWord(key[0], key[1])))
-        key = pkey
+    node = best_node
+    while parents[node] is not None:
+        parent, move = parents[node]
+        path.append((move, BraidWord(node[0], _letters(node[1], node[2]))))
+        node = parent
     path.reverse()
     if b.letters != start.letters:
         path.insert(0, ("reduce", start))
@@ -437,8 +470,8 @@ def verify_witness(start: BraidWord, result: ChiSearchResult) -> None:
     """Replay the witness of ``chi_minus_lower_bound(start)``; raise
     BraidError unless it proves ``result.score``.
 
-    Every step must be one of the ``_neighbors`` moves of the word before it,
-    under the same move name; a leading ``reduce`` is the free reduction of
+    Every step must be one of the ``_moves`` of the word before it, under
+    the same move name; a leading ``reduce`` is the free reduction of
     ``start``.  The last word must be positive with n - l equal to the score.
     An empty witness stands for the start itself, freely reduced; a
     truncated search that found no positive word returns that word's n - l,
@@ -446,7 +479,7 @@ def verify_witness(start: BraidWord, result: ChiSearchResult) -> None:
     """
     strands, word = start.strands, start.letters
     for k, (move, w) in enumerate(result.witness):
-        if (move, w.strands, w.letters) not in set(_neighbors(word, strands)):
+        if (move, _encode(w.strands, w.letters)) not in set(_moves(_encode(strands, word), {})):
             raise BraidError("witness step %d is not a %s move of the word before it" % (k, move))
         strands, word = w.strands, w.letters
     if not result.witness:

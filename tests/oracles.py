@@ -3,7 +3,8 @@
 None of these is used by a command: each one reaches a known answer by a
 second way (reflecting a diagram, reversing one component, evaluating the
 skein polynomial at a point, following each component's strands on its
-own) so that a test can compare the two.
+own, rewriting braid words letter by letter) so that a test can compare the
+two.
 """
 
 from cbound.braids import BraidWord
@@ -124,3 +125,72 @@ def closure_components_by_sublink(b: BraidWord) -> tuple[list[BraidWord], list[l
     and one more for the linking."""
     cycles = [frozenset(c + 1 for c in cyc) for cyc in strand_cycles(b)]
     return [sub_braid(b, cyc) for cyc in cycles], cycle_linking(b, cycles)
+
+
+# -- the chi search's rewriting moves on plain letter tuples ------------------
+
+_RELATION_SIGNS = {
+    (1, 1, 1): (1, 1, 1),
+    (-1, -1, -1): (-1, -1, -1),
+    (1, 1, -1): (-1, 1, 1),
+    (-1, 1, 1): (1, 1, -1),
+    (1, -1, -1): (-1, -1, 1),
+    (-1, -1, 1): (1, -1, -1),
+}
+
+
+def _free_reduce(word: tuple[int, ...]) -> tuple[int, ...]:
+    out: list[int] = []
+    for x in word:
+        if out and out[-1] == -x:
+            out.pop()
+        else:
+            out.append(x)
+    return tuple(out)
+
+
+def _destabilize(word: tuple[int, ...]) -> tuple[int, ...] | None:
+    counts: dict[int, int] = {}
+    for x in word:
+        counts[abs(x)] = counts.get(abs(x), 0) + 1
+    lone = [i for i, c in counts.items() if c == 1]
+    if not lone:
+        return None
+    i = min(lone)
+    low = [x for x in word if abs(x) < i]
+    high = [x - 1 if x > 0 else x + 1 for x in word if abs(x) > i]
+    return tuple(low + high)
+
+
+def reference_neighbors(word: tuple[int, ...], strands: int):
+    """The chi search's rewriting moves, written on signed letters.
+
+    Yields (move name, new strand count, new word) in the order the search
+    takes them: flips, reduce, destab, rotate, commutes, relations.
+    """
+    # sign flips sigma^-1 -> sigma
+    for t, x in enumerate(word):
+        if x < 0:
+            yield ("flip", strands, word[:t] + (-x,) + word[t + 1 :])
+    red = _free_reduce(word)
+    if red != word:
+        yield ("reduce", strands, red)
+    dest = _destabilize(word)
+    if dest is not None:
+        yield ("destab", strands - 1, dest)
+    if len(word) > 1:
+        yield ("rotate", strands, word[1:] + word[:1])
+    for t in range(len(word) - 1):
+        if abs(abs(word[t]) - abs(word[t + 1])) >= 2:
+            swapped = list(word)
+            swapped[t], swapped[t + 1] = swapped[t + 1], swapped[t]
+            yield ("commute", strands, tuple(swapped))
+    for t in range(len(word) - 2):
+        a, b, c = word[t : t + 3]
+        if abs(a) == abs(c) and abs(abs(a) - abs(b)) == 1:
+            pat = (1 if a > 0 else -1, 1 if b > 0 else -1, 1 if c > 0 else -1)
+            new = _RELATION_SIGNS.get(pat)
+            if new is not None:
+                i, j = abs(a), abs(b)
+                repl = (new[0] * j, new[1] * i, new[2] * j)
+                yield ("relation", strands, word[:t] + repl + word[t + 3 :])

@@ -14,7 +14,9 @@ from cbound.braids import (
     BraidWord,
     ChiSearchResult,
     QPFactorization,
-    _neighbors,
+    _encode,
+    _letters,
+    _moves,
     _surface_pieces,
     bennequin_chi,
     braid_equal,
@@ -33,7 +35,7 @@ from cbound.braids import (
     verify_witness,
 )
 from cbound.notation import parse_braid, render_braid
-from oracles import closure_components_by_sublink, strand_cycles
+from oracles import closure_components_by_sublink, reference_neighbors, strand_cycles
 
 TREFOIL = BraidWord(2, (1, 1, 1))
 FIG8 = BraidWord(3, (-1, 2, -1, 2))
@@ -337,20 +339,26 @@ def test_chi_search_matches_pinned_results(fixtures_dir):
 # -- the chi search against the search without the ceiling stop ---------------
 
 
-def reference_chi_search(b, budget):
-    """The chi search as the program ran it before it stopped at the
-    component count: it explores until its frontier or budget runs out."""
+def reference_chi_search(b, budget, ceiling=False):
+    """The chi search on plain letter tuples, through ``reference_neighbors``.
+
+    Without ``ceiling`` it runs as the program did before it stopped at the
+    component count: it explores until its frontier or budget runs out.
+    With ``ceiling`` it stops where the program does, at the first score
+    equal to the component count."""
     start = reduce_word(b)
     start_key = (start.strands, start.letters)
+    stop = component_count(start) if ceiling else None
     heap = []
     counter = itertools.count()
-    heapq.heappush(heap, (len(start.letters), next(counter), start.letters, start.strands))
     parents = {start_key: None}
     best_score = None
     best_key = None
     if start.is_positive():
         best_score = start.strands - len(start.letters)
         best_key = start_key
+    if best_score is None or best_score != stop:
+        heapq.heappush(heap, (len(start.letters), next(counter), start.letters, start.strands))
     explored = 0
     truncated = False
     while heap:
@@ -360,7 +368,7 @@ def reference_chi_search(b, budget):
         _, _, word, strands = heapq.heappop(heap)
         explored += 1
         key = (strands, word)
-        for move, ns, nw in _neighbors(word, strands):
+        for move, ns, nw in reference_neighbors(word, strands):
             nkey = (ns, nw)
             if nkey in parents:
                 continue
@@ -370,6 +378,9 @@ def reference_chi_search(b, budget):
                 if best_score is None or score > best_score:
                     best_score = score
                     best_key = nkey
+                    if score == stop:
+                        heap.clear()
+                        break
             heapq.heappush(heap, (len(nw), next(counter), nw, ns))
     if best_score is None:
         return ChiSearchResult(bennequin_chi(start), [], True, explored)
@@ -412,6 +423,28 @@ def test_chi_search_matches_reference_on_seeded_words():
     assert cleared >= 1
 
 
+def test_chi_search_equals_the_reference_with_the_ceiling_stop():
+    # the sign-bitmask search explores the same nodes in the same order as
+    # the search on letter tuples, so every field agrees, explored included
+    rng = random.Random(1507)
+    words = []
+    for _ in range(420):
+        # freely reduced, so that the search starts from the whole word
+        n, length, word = rng.randint(3, 4), rng.randint(7, 12), []
+        while len(word) < length:
+            x = rng.choice([1, -1]) * rng.randint(1, n - 1)
+            if not word or word[-1] != -x:
+                word.append(x)
+        words.append(BraidWord(n, tuple(word)))
+    words.append(BraidWord(300, (-299, 298, -299, 297, -298, 299, -297)))
+    truncated = 0
+    for b in words:
+        got = chi_minus_lower_bound(b, 2000)
+        assert got == reference_chi_search(b, 2000, ceiling=True), b
+        truncated += got.truncated
+    assert truncated >= 100
+
+
 def test_chi_search_stops_at_the_component_count():
     # the start word is positive with n - l = mu: nothing to explore
     r = chi_minus_lower_bound(BraidWord(3, (1, 2)), 0)
@@ -420,6 +453,20 @@ def test_chi_search_stops_at_the_component_count():
     r = chi_minus_lower_bound(BraidWord(2, (-1,)), 1)
     assert (r.score, r.truncated, r.explored) == (1, False, 1)
     assert reference_chi_search(BraidWord(2, (-1,)), 1).truncated
+
+
+# -- the search's moves against the moves on letter tuples ---------------------
+
+
+def test_moves_match_reference_neighbors():
+    rng = random.Random(1511)
+    shapes = {}
+    for _ in range(20000):
+        b = random_word(rng, 9, 16)
+        got = [(move, ns, _letters(mags, neg)) for move, (ns, mags, neg) in _moves(_encode(b.strands, b.letters), shapes)]
+        assert got == list(reference_neighbors(b.letters, b.strands)), b
+    # one shape per magnitude word, shared by words of any strand count
+    assert len(shapes) < 20000
 
 
 # -- witness replay -------------------------------------------------------------

@@ -74,6 +74,25 @@ def test_chi_budget_warning_names_the_budget_and_the_ceiling(capsys):
                    "at chi_s^- >= -8 (ceiling 2); lower bound may be slack\n")
 
 
+def test_chi_truncated_golden_warns_with_its_score_and_ceiling(capsys):
+    # the witness of fixtures/chi-truncated.machine.out uses every move kind
+    # but commute; the search runs out before it reaches the ceiling
+    code, out, err = run(capsys, "chi", "BR[4,{-1,-3,2,2,-3,1,-2}]", "--machine", "--search-budget", "2000")
+    assert code == 0 and out.endswith("search.truncated=yes\n")
+    assert err == ("warning: search budget of 2000 nodes ran out after 2000 explored, "
+                   "at chi_s^- >= 1 (ceiling 3); lower bound may be slack\n")
+
+
+@pytest.mark.parametrize("word", ["BR[2,{-1}]", "BR[3,{1,-2}]"])
+def test_chi_no_slack_warning_at_the_ceiling(capsys, word):
+    # with no budget the all-flipped fallback already reaches mu = 1, so the
+    # search is truncated but its lower bound is tight
+    code, out, err = run(capsys, "chi", word, "--search-budget", "0")
+    assert code == 0
+    assert "chi_s^- in [1, 1]" in out
+    assert err == ""
+
+
 def test_chi_reaching_the_ceiling_is_not_truncated(capsys):
     # BR[2,{-1}] is the unknot: one flip reaches chi = 1 = mu on the first node
     code, out, err = run(capsys, "chi", "BR[2,{-1}]", "--search-budget", "1", "--machine")
@@ -209,6 +228,8 @@ def test_missing_file_exit_code(capsys):
     pytest.param(["classify", "{fixtures}/table1.kb"], "classify.out", id="classify"),
     pytest.param(["chi", "BR[3,{1,-2,-1,-1,-2}]"], "chi.out", id="chi"),
     pytest.param(["chi", "BR[3,{1,-2,-1,-1,-2}]", "--machine"], "chi.machine.out", id="chi-machine"),
+    pytest.param(["chi", "BR[4,{-1,-3,2,2,-3,1,-2}]", "--machine", "--search-budget", "2000"],
+                 "chi-truncated.machine.out", id="chi-truncated-machine"),
     pytest.param(["qp-obstruct", "BR[3,{1,-2,1,-2,1}]"], "qp-obstruct.out", id="qp-obstruct"),
     pytest.param(["qp-obstruct", "BR[3,{1,-2,1,-2,1}]", "--machine"], "qp-obstruct.machine.out",
                  id="qp-obstruct-machine"),
