@@ -14,7 +14,7 @@ import functools
 import os
 import sys
 
-from .braids import DEFAULT_SEARCH_BUDGET, BraidError, component_count, qp_chi
+from .braids import DEFAULT_SEARCH_BUDGET, BraidError, BraidWord, qp_chi
 from .classify import (
     ClassifyError,
     LinkRecord,
@@ -49,11 +49,14 @@ def _load_text(arg: str) -> str:
         return fh.read()
 
 
-def _load_diagram(arg: str, unknots: int | None) -> Diagram:
+def _load_input(arg: str, unknots: int | None) -> BraidWord | Diagram:
+    """A braid word, or a PD diagram with ``unknots`` free loops."""
     text = _load_text(arg).strip()
-    if text.startswith("BR"):
-        return from_braid(parse_braid(text))
-    return parse_pd(text, unknots)
+    if not text.startswith("BR"):
+        return parse_pd(text, unknots)
+    if unknots is not None:
+        raise DiagramError("--unknots applies to PD input only")
+    return parse_braid(text)
 
 
 def _emit_matrix(args, mat: list[list[int]], labels=None):
@@ -78,31 +81,27 @@ def _emit_poly(args, p):
         print("ord_v = %d" % p.ord_v)
 
 
-def _solo_row(args):
+def _solo_row(args, search_budget: int):
     """The input word and its row in a one-record ledger."""
     b = parse_braid(_load_text(args.input).strip())
-    ledger = apply_rules([LinkRecord("input", b)], skein_budget=args.skein_budget, search_budget=args.search_budget)
+    ledger = apply_rules([LinkRecord("input", b)], skein_budget=args.skein_budget, search_budget=search_budget)
     return b, ledger.rows["input"]
 
 
 def cmd_homfly(args) -> int:
-    text = _load_text(args.input).strip()
-    if text.startswith("BR"):
-        p = homfly_braid(parse_braid(text), args.skein_budget)
-    else:
-        p = homfly(parse_pd(text, args.unknots), args.skein_budget)
-    _emit_poly(args, p)
+    x = _load_input(args.input, args.unknots)
+    _emit_poly(args, (homfly_braid if isinstance(x, BraidWord) else homfly)(x, args.skein_budget))
     return 0
 
 
 def cmd_lk(args) -> int:
-    diag = _load_diagram(args.input, args.unknots)
-    _emit_matrix(args, linking_matrix(diag))
+    x = _load_input(args.input, args.unknots)
+    _emit_matrix(args, linking_matrix(from_braid(x) if isinstance(x, BraidWord) else x))
     return 0
 
 
 def cmd_chi(args) -> int:
-    b, row = _solo_row(args)
+    b, row = _solo_row(args, args.search_budget)
     (slo, shi), (mlo, mhi) = row.chi.chi_s, row.chi.chi_s_minus
     if args.machine:
         print("chi_s.lo=%d" % slo)
@@ -124,13 +123,13 @@ def cmd_chi(args) -> int:
             print("  start %s" % render_braid(b))
             for move, word in row.search.witness:
                 print("  %s -> %s" % (move, render_braid(word)))
-    # a truncated search whose score reached the component count is still tight
-    ceiling = component_count(b)
-    if row.search.truncated and row.search.score < ceiling:
+    # a truncated search whose score reached the component count (the upper
+    # end of chi_s^- in a one-record ledger) is still tight
+    if row.search.truncated and row.search.score < mhi:
         print(
             "warning: search budget of %d nodes ran out after %d explored, at chi_s^- >= %d (ceiling %d); "
             "lower bound may be slack"
-            % (args.search_budget, row.search.explored, row.search.score, ceiling),
+            % (args.search_budget, row.search.explored, row.search.score, mhi),
             file=sys.stderr,
         )
     return 0
@@ -168,7 +167,10 @@ def cmd_qp_verify(args) -> int:
 
 
 def cmd_qp_obstruct(args) -> int:
-    _, row = _solo_row(args)
+    # chi_s.hi of a lone record comes from the signature, the disk census and
+    # the component count; the chi^- search only raises lower bounds, so
+    # budget 0 (no node explored) prints the same
+    _, row = _solo_row(args, 0)
     hi = row.chi.chi_s[1]
     ob = fwm_obstruction(row.poly, hi)
     verdict = "refuted" if ob["refuted"] else "consistent"
@@ -301,17 +303,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     p.set_defaults(func=cmd_qp_verify)
 
-    p = sub.add_parser("qp-obstruct", parents=[machine, skein, search], help="polynomial order obstruction")
+    p = sub.add_parser("qp-obstruct", parents=[machine, skein], help="polynomial order obstruction")
     p.add_argument("input")
     p.set_defaults(func=cmd_qp_obstruct)
 
-    p = sub.add_parser("ovals", parents=[machine, skein, seed], help="oval forest pipeline")
-    p.add_argument("stage", choices=["realize", "cable", "splice", "embed"])
+    p = sub.add_parser("ovals", help="oval forest pipeline")
+    p.set_defaults(func=cmd_ovals)
+    stages = p.add_subparsers(dest="stage", required=True)
+    for stage in ("realize", "cable", "splice"):
+        stages.add_parser(stage, parents=[machine]).add_argument("file")
+    p = stages.add_parser("embed", parents=[machine, skein, seed])
     p.add_argument("file")
     p.add_argument("--orientation", choices=["ccw", "induced"], default="ccw")
     p.add_argument("--samples-scale", type=int, default=1, dest="samples_scale")
     p.add_argument("--svg", default=None, metavar="OUT.SVG")
-    p.set_defaults(func=cmd_ovals)
 
     p = sub.add_parser("classify", parents=[machine, skein, search], help="run the rule engine on a knowledge base")
     p.add_argument("kb")

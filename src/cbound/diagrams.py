@@ -115,8 +115,8 @@ def from_pd(tuples: list[tuple[int, int, int, int]], free_loops: int = 0) -> Dia
 
     The under strand runs from the first to the third entry.  The over
     direction at each crossing is fixed by demanding that every arc gets
-    exactly one head and one tail; crossings left free (closed all-over
-    circles) fall back on consecutive arc numbering.
+    exactly one head and one tail; a crossing left free (on a closed
+    all-over circle) falls back on consecutive arc numbering, one at a time.
     """
     for i, j, k, l in tuples:
         if i == k:
@@ -164,9 +164,14 @@ def from_pd(tuples: list[tuple[int, int, int, int]], free_loops: int = 0) -> Dia
             else:
                 continue
             changed = True
-    for t, (i, j, k, l) in enumerate(tuples):
-        if sign[t] is None:
+        if not changed and None in sign:
+            # a circle over at every crossing has no self-crossing, so either
+            # direction is correct; the numbering fixes one crossing (it breaks
+            # where the numbering wraps around) and the rest propagate from it
+            t = sign.index(None)
+            _, j, _, l = tuples[t]
             orient(t, -1 if j + 1 == l else 1)
+            changed = True
     crossings: list[Crossing] = []
     for t, (i, j, k, l) in enumerate(tuples):
         if sign[t] == 1:

@@ -1,10 +1,12 @@
 """The membership rule engine and its knowledge-base format."""
 
+import functools
+import random
 from dataclasses import replace
 
 import pytest
 
-from cbound.braids import BraidWord
+from cbound.braids import BraidWord, component_count
 from cbound.classify import (
     ClassifyError,
     LinkRecord,
@@ -148,6 +150,41 @@ def test_chi_bounds_for_solo_rows():
     hopf = parse_kb("link h\nbraid BR[2,{1,1}]\ncert :1 :1\n")[0]
     hb = apply_rules([hopf]).rows["h"].chi
     assert hb.chi_s == (0, 0) and hb.chi_s_minus == (0, 0)
+
+
+def _seeded_words(count: int, seed: int) -> list[BraidWord]:
+    rng = random.Random(seed)
+    words = []
+    for _ in range(count):
+        n = rng.randint(2, 5)
+        k = rng.randint(1, 14)
+        words.append(BraidWord(n, tuple(rng.choice([1, -1]) * rng.randint(1, n - 1) for _ in range(k))))
+    return words
+
+
+SEEDED_WORDS = _seeded_words(300, 5)
+
+
+@functools.cache
+def _solo_rows(search_budget: int):
+    """The row of each seeded word in a one-record ledger."""
+    return [apply_rules([LinkRecord("input", b)], search_budget=search_budget).rows["input"] for b in SEEDED_WORDS]
+
+
+def test_a_solo_record_needs_no_search_for_its_upper_chi_s_and_polynomial():
+    moved = 0
+    for b, bare, searched in zip(SEEDED_WORDS, _solo_rows(0), _solo_rows(2000)):
+        assert bare.search.explored == 0
+        assert (bare.chi.chi_s[1], bare.poly) == (searched.chi.chi_s[1], searched.poly), b
+        moved += bare.chi.chi_s_minus[0] != searched.chi.chi_s_minus[0]
+    # the search does raise lower bounds, so the two ledgers differ
+    assert moved > 0
+
+
+def test_a_solo_record_has_its_component_count_as_upper_chi_s_minus():
+    for budget in (0, 2000):
+        for b, row in zip(SEEDED_WORDS, _solo_rows(budget)):
+            assert row.chi.chi_s_minus[1] == component_count(b), (budget, b)
 
 
 def test_contradiction_aborts():

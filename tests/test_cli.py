@@ -226,6 +226,9 @@ def test_missing_file_exit_code(capsys):
 @pytest.mark.parametrize("argv, golden", [
     pytest.param(["table1", "{fixtures}/table1.kb"], "table1.out", id="table1"),
     pytest.param(["classify", "{fixtures}/table1.kb"], "classify.out", id="classify"),
+    pytest.param(["classify", "{fixtures}/table1.kb", "--machine"], "classify.machine.out", id="classify-machine"),
+    pytest.param(["qp-verify", "{fixtures}/qp_wermer.qp", "--machine"], "qp-verify.machine.out",
+                 id="qp-verify-machine"),
     pytest.param(["chi", "BR[3,{1,-2,-1,-1,-2}]"], "chi.out", id="chi"),
     pytest.param(["chi", "BR[3,{1,-2,-1,-1,-2}]", "--machine"], "chi.machine.out", id="chi-machine"),
     pytest.param(["chi", "BR[4,{-1,-3,2,2,-3,1,-2}]", "--machine", "--search-budget", "2000"],
@@ -240,7 +243,12 @@ def test_missing_file_exit_code(capsys):
                                     ("embed", "", []),
                                     ("embed", "-induced", ["--orientation", "induced"]),
                                     ("embed", "-s2", ["--samples-scale", "2", "--seed", "3"])]
-      for name in ["hopf", "wermer", "wermer_conj"]
+      for name in ["hopf", "wermer", "wermer_conj", "fan"]
+      for machine in [[], ["--machine"]]),
+    # 3-field lines without geometry, and a forest that fails the winding balance
+    *(pytest.param(["ovals", "realize", "{fixtures}/unbalanced.ovals", *machine],
+                   "ovals/realize.unbalanced%s.out" % (".machine" if machine else ""),
+                   id="ovals-realize-unbalanced%s" % ("-machine" if machine else ""))
       for machine in [[], ["--machine"]]),
 ])
 def test_report_matches_golden_stdout(capsys, fixtures_dir, argv, golden):
@@ -266,6 +274,24 @@ def test_qp_obstruct_evaluates_the_polynomial_once(capsys, monkeypatch):
     code, out, _ = run(capsys, "qp-obstruct", "BR[3,{1,-2,1,-2,1}]")
     assert code == 0 and "verdict: refuted" in out
     assert sizes.count(5) == 1
+
+
+def test_qp_obstruct_runs_no_chi_search(capsys, monkeypatch):
+    import cbound.classify
+
+    budgets = []
+    real = cbound.classify.chi_minus_lower_bound
+
+    def recording(b, budget, *args, **kwargs):
+        budgets.append(budget)
+        return real(b, budget, *args, **kwargs)
+
+    monkeypatch.setattr(cbound.classify, "chi_minus_lower_bound", recording)
+    code, out, _ = run(capsys, "qp-obstruct", "BR[3,{1,-2,1,-2,1}]")
+    assert code == 0 and "verdict: refuted" in out
+    code, _, _ = run(capsys, "chi", "BR[3,{1,-2,1,-2,1}]", "--search-budget", "7")
+    assert code == 0
+    assert budgets == [0, 7]
 
 
 def test_chi_stops_before_the_search_when_a_knot_exceeds_the_skein_budget(capsys, monkeypatch):
@@ -371,12 +397,22 @@ def test_process_exit_codes(argv, code):
     ["homfly", "BR[2,{1,1}]", "--search-budget", "5"],
     ["qp-verify", "BR[2,{1,1}]", "--skein-budget", "5"],
     ["table1", "kb", "--seed", "1"],
+    ["qp-obstruct", "BR[2,{1,1}]", "--search-budget", "5"],
+    *(["ovals", stage, str(SRC.parent / "fixtures" / "hopf.ovals"), *option]
+      for stage in ["realize", "cable", "splice"]
+      for option in [["--skein-budget", "5"], ["--seed", "1"], ["--orientation", "induced"],
+                     ["--samples-scale", "2"], ["--svg", "out.svg"]]),
+    # options follow the stage
+    ["ovals", "--machine", "splice", str(SRC.parent / "fixtures" / "hopf.ovals")],
+    # a braid has no free loops to count
+    ["homfly", "BR[2,{1,1}]", "--unknots", "1"],
+    ["lk", "BR[2,{1,1}]", "--unknots", "0"],
 ])
 def test_options_a_subcommand_does_not_read_are_usage_errors(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 1
     assert out == ""
-    assert "error:" in err
+    assert sum("error:" in line for line in err.splitlines()) == 1
 
 
 def test_table1_machine_mode(capsys, fixtures_dir):

@@ -2,6 +2,8 @@
 
 import random
 
+import pytest
+
 from cbound.braids import BraidWord
 from cbound.diagrams import (
     Diagram,
@@ -14,6 +16,7 @@ from cbound.diagrams import (
     walk_components,
     zero_linking_sublinks,
 )
+from cbound.homfly import homfly, unlink_poly
 from cbound.notation import parse_pd
 from oracles import mirror_diagram, reverse_component, strand_cycles
 
@@ -43,6 +46,25 @@ def test_mirror_diagram_negates_linking():
     m = linking_matrix(d)
     mm = linking_matrix(mirror_diagram(d))
     assert mm == [[-x for x in row] for row in m]
+
+
+@pytest.mark.parametrize("pd", [
+    # one circle over the other at both crossings
+    "PD[X[1,3,2,4],X[2,3,1,4]]",
+    # two ellipses crossing at 4 points, the one on arcs 5-8 over at each
+    "PD[X[1,6,2,5],X[2,6,3,7],X[3,8,4,7],X[4,8,1,5]]",
+])
+def test_a_component_over_at_every_crossing_is_a_split_unknot(pd):
+    d = parse_pd(pd)
+    assert d.total_components == 2
+    assert linking_matrix(d) == [[0, 0], [0, 0]]
+    assert homfly(d) == unlink_poly(2)
+
+
+def test_an_all_over_circle_the_numbering_orients_keeps_its_diagram():
+    d = parse_pd("PD[X[1,3,2,5],X[2,5,1,3]]")
+    assert d.crossings == [(1, 2, 5, 3, 1), (2, 1, 3, 5, 1)]
+    assert d.components == [[1, 2], [3, 5]]
 
 
 def test_pd_round_trip_preserves_linking():

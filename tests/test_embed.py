@@ -23,7 +23,15 @@ from cbound.embed import (
 )
 from cbound.homfly import homfly
 from cbound.notation import parse_ovals, render_pd
-from cbound.splice import Oval, OvalError, OvalForest, random_realizable_forest
+from cbound.splice import (
+    Oval,
+    OvalError,
+    OvalForest,
+    linking_from_splice,
+    random_realizable_forest,
+    simplify_splice,
+    splice_diagram,
+)
 
 HOPF_TEXT = "1 0 1 0 0 0.6\n2 1 1 0 0 0\n"
 
@@ -40,6 +48,14 @@ def test_pd_and_lk_paths_agree():
     diag, ids = oval_link_pd(f)
     assert ids == [1, 2]
     assert linking_matrix(diag) == [[0, 1], [1, 0]]
+
+
+def test_splice_and_embedding_agree_on_two_fibers_of_opposite_winding(fixtures_dir):
+    f = parse_ovals((fixtures_dir / "fan.ovals").read_text())
+    spliced = linking_from_splice(simplify_splice(splice_diagram(f)))
+    assert spliced == ([1, 2, 3], [[0, -1, 1], [-1, 0, 0], [1, 0, 0]])
+    for seed in range(3):
+        assert oval_link_lk(f, seed=seed) == spliced
 
 
 def test_auto_geometry_fills_circles():
