@@ -35,7 +35,7 @@ from .braids import (
 )
 from .diagrams import zero_linking_sublinks
 from .homfly import DEFAULT_SKEIN_BUDGET, LaurentPoly2, homfly_braid, unlink_poly, fwm_obstruction
-from .notation import ParseError, parse_braid
+from .notation import ParseError, line_words, parse_braid
 
 CLASSES = ("Q", "SB", "B")
 _VERDICTS = ("yes", "no")
@@ -317,18 +317,7 @@ def parse_kb(text: str) -> list[LinkRecord]:
             raise ClassifyError("record %s has no braid" % cur["name"])
         records.append(LinkRecord(**cur, axioms=tuple(axioms), summands=tuple(summands)))
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        # '#' opens a comment only at the start or after whitespace; link
-        # names themselves contain the character
-        if line.startswith("#"):
-            continue
-        cut = line.find(" #")
-        if cut >= 0:
-            line = line[:cut].rstrip()
-        if not line:
-            continue
-        key, *args = line.split()
+    for lineno, (key, *args) in line_words(text):
         try:
             if key == "link":
                 flush()
@@ -369,7 +358,7 @@ def parse_kb(text: str) -> list[LinkRecord]:
                 axioms.append(Axiom(args[0], args[1], _letter(args[2])))
             elif key == "expect":
                 if len(args) not in (2, 3) or args[0] not in CLASSES or args[1] not in _VERDICTS:
-                    raise ClassifyError("bad expectation %r" % line)
+                    raise ClassifyError("bad expectation %r" % " ".join([key, *args]))
                 letters = _parse_letterset(args[2]) if len(args) == 3 else frozenset()
                 cur.setdefault("expected", {})[args[0]] = CellExpectation(args[1], letters)
             else:

@@ -29,7 +29,7 @@ from .classify import (
 from .diagrams import Diagram, DiagramError, from_braid, linking_matrix
 from .embed import EmbedError, linking_by_id, oval_link_pd, render_svg
 from .homfly import DEFAULT_SKEIN_BUDGET, HECKE_MAX_STRANDS, BudgetExceeded, fwm_obstruction, homfly, homfly_braid
-from .notation import ParseError, parse_braid, parse_ovals, parse_pd, render_braid, render_pd, render_poly
+from .notation import ParseError, line_words, parse_braid, parse_ovals, parse_pd, render_braid, render_pd, render_poly
 from .splice import (
     OvalError,
     cabling_program,
@@ -136,23 +136,26 @@ def cmd_chi(args) -> int:
 
 
 def cmd_qp_verify(args) -> int:
-    """Certificate file: a ``braid BR[...]`` line and a ``factors ...`` line."""
-    braid = None
-    factors_text = None
-    for raw in _load_text(args.input).splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, _, rest = line.partition(" ")
-        if key == "braid":
-            braid = parse_braid(rest.strip())
-        elif key == "factors":
-            factors_text = rest.strip()
-        else:
-            raise ParseError("unknown certificate key %r" % key)
-    if braid is None or factors_text is None:
-        raise ParseError("certificate needs both a braid and a factors line")
-    fac = parse_certificate(braid.strands, factors_text)
+    """Certificate file: a ``braid BR[...]`` line and a ``factors ...`` line.
+
+    Errors name the file line at fault, as ``parse_kb`` does.
+    """
+    text = _load_text(args.input)
+    found = {}  # key -> (line number, rest of the line)
+    for lineno, (key, *rest) in line_words(text):
+        if key not in ("braid", "factors"):
+            raise ClassifyError("certificate line %d: unknown key %r" % (lineno, key))
+        found[key] = lineno, " ".join(rest)
+    for key in ("braid", "factors"):
+        if key not in found:
+            raise ClassifyError("certificate ends at line %d without a %s line" % (len(text.splitlines()), key))
+    lineno, rest = found["braid"]
+    try:
+        braid = parse_braid(rest)
+        lineno, rest = found["factors"]
+        fac = parse_certificate(braid.strands, rest)
+    except ValueError as e:
+        raise ClassifyError("certificate line %d: %s" % (lineno, e)) from None
     ok = not verify_certificates([LinkRecord("input", braid, fac)])
     chi = qp_chi(fac)
     if args.machine:
@@ -186,13 +189,8 @@ def cmd_qp_obstruct(args) -> int:
     return 0
 
 
-def _load_forest(path: str):
-    with open(path) as fh:
-        return parse_ovals(fh.read())
-
-
 def cmd_ovals(args) -> int:
-    forest = _load_forest(args.file)
+    forest = parse_ovals(_load_text(args.file))
     if args.stage == "realize":
         ok, bad = realizable(forest)
         if args.machine:

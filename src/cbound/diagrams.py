@@ -110,13 +110,16 @@ def from_braid(b: BraidWord) -> Diagram:
 
 
 def from_pd(tuples: list[tuple[int, int, int, int]], free_loops: int = 0) -> Diagram:
-    """Build a diagram from planar 4-tuples, inferring over-strand
-    directions by constraint propagation.
+    """Build a diagram from planar 4-tuples ``X[i, j, k, l]``, orienting
+    each over strand by walking along it.
 
-    The under strand runs from the first to the third entry.  The over
-    direction at each crossing is fixed by demanding that every arc gets
-    exactly one head and one tail; a crossing left free (on a closed
-    all-over circle) falls back on consecutive arc numbering, one at a time.
+    The under strand runs from i (slot 0) to k (slot 2).  From every
+    under-out slot the walk follows the strand forward over each crossing it
+    meets, fixing that crossing's sign, until it dives under at an under-in
+    slot.  A crossing no walk reaches lies on a circle that is over at every
+    crossing, so either direction is correct: the numbering at its first
+    crossing in tuple order picks one (it breaks where the numbering wraps
+    around) and the walk goes once round the circle.
     """
     for i, j, k, l in tuples:
         if i == k:
@@ -129,57 +132,40 @@ def from_pd(tuples: list[tuple[int, int, int, int]], free_loops: int = 0) -> Dia
                 "crossing X[%d,%d,%d,%d] is orientation-inconsistent: over "
                 "strand enters and leaves on the same arc" % (i, j, k, l)
             )
-    heads: dict[int, int] = {}
-    tails: dict[int, int] = {}
+    ends: dict[int, list[tuple[int, int]]] = {}
+    for t, tup in enumerate(tuples):
+        for slot, arc in enumerate(tup):
+            ends.setdefault(arc, []).append((t, slot))
+    for arc, e in ends.items():
+        if len(e) != 2:
+            raise DiagramError("arc %d needs two ends, found %d" % (arc, len(e)))
+        if e[0][1] == e[1][1] == 0:
+            raise DiagramError("arc %d has two heads" % arc)
+    # sign[t] = +1 when over runs l->j, -1 when over runs j->l, 0 until fixed
+    sign = [0] * len(tuples)
 
-    def claim(table, arc, what):
-        table[arc] = table.get(arc, 0) + 1
-        if table[arc] > 1:
-            raise DiagramError("arc %d has two %s" % (arc, what))
+    def walk(t, slot):
+        """Follow the strand that leaves crossing t by ``slot``."""
+        while True:
+            arc = tuples[t][slot]
+            a, b = ends[arc]
+            t, slot = b if a == (t, slot) else a
+            if slot == 2:
+                raise DiagramError("arc %d has two tails" % arc)
+            if slot == 0 or sign[t]:  # dives under, or closes an all-over circle
+                return
+            sign[t] = slot - 2
+            slot = 4 - slot
 
-    for i, j, k, l in tuples:
-        claim(heads, i, "heads")
-        claim(tails, k, "tails")
-    # sign[t] = +1 when over runs l->j, -1 when over runs j->l
-    sign: list[int | None] = [None] * len(tuples)
-
-    def orient(t, s):
-        """Fix crossing t's sign and claim its over strand's head and tail."""
-        _, j, _, l = tuples[t]
-        sign[t] = s
-        head, tail = (l, j) if s == 1 else (j, l)
-        claim(heads, head, "heads")
-        claim(tails, tail, "tails")
-
-    changed = True
-    while changed:
-        changed = False
-        for t, (i, j, k, l) in enumerate(tuples):
-            if sign[t] is not None:
-                continue
-            if heads.get(j) or tails.get(l):
-                orient(t, 1)  # j must be a tail, so over runs l -> j
-            elif tails.get(j) or heads.get(l):
-                orient(t, -1)
-            else:
-                continue
-            changed = True
-        if not changed and None in sign:
-            # a circle over at every crossing has no self-crossing, so either
-            # direction is correct; the numbering fixes one crossing (it breaks
-            # where the numbering wraps around) and the rest propagate from it
-            t = sign.index(None)
-            _, j, _, l = tuples[t]
-            orient(t, -1 if j + 1 == l else 1)
-            changed = True
-    crossings: list[Crossing] = []
+    for t in range(len(tuples)):
+        walk(t, 2)
     for t, (i, j, k, l) in enumerate(tuples):
-        if sign[t] == 1:
-            crossings.append((i, k, l, j, 1))
-        else:
-            crossings.append((i, k, j, l, -1))
-    comps = walk_components(crossings)
-    return Diagram(crossings, comps, free_loops)
+        if not sign[t]:
+            sign[t] = -1 if j + 1 == l else 1
+            walk(t, 2 - sign[t])
+    crossings: list[Crossing] = [(i, k, l, j, 1) if s == 1 else (i, k, j, l, -1)
+                                 for (i, j, k, l), s in zip(tuples, sign)]
+    return Diagram(crossings, walk_components(crossings), free_loops)
 
 
 def pd_tuples(d: Diagram) -> list[tuple[int, int, int, int]]:

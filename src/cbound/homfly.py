@@ -67,18 +67,10 @@ class LaurentPoly2:
     def monomial(cls, c: int, dv: int, dz: int) -> "LaurentPoly2":
         return cls({(dv, dz): c})
 
-    def __bool__(self):
-        return bool(self.terms)
-
     def __eq__(self, other):
-        if isinstance(other, int):
-            other = LaurentPoly2.const(other)
         if not isinstance(other, LaurentPoly2):
             return NotImplemented
         return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
 
     def __add__(self, other):
         out = dict(self.terms)
@@ -96,16 +88,12 @@ class LaurentPoly2:
         return LaurentPoly2({k: -v for k, v in self.terms.items()})
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            return LaurentPoly2({k: v * other for k, v in self.terms.items()})
         out: dict[tuple[int, int], int] = {}
         for (a1, b1), c1 in self.terms.items():
             for (a2, b2), c2 in other.terms.items():
                 k = (a1 + a2, b1 + b2)
                 out[k] = out.get(k, 0) + c1 * c2
         return LaurentPoly2(out)
-
-    __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if n < 0:

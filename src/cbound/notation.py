@@ -8,8 +8,12 @@ hand-written shapes: ``2-3*v^2 + v^4 + z^(-2)-(2*v^2)/z^2`` as well as
 
 from __future__ import annotations
 
+import math
+from collections.abc import Iterator
+from itertools import takewhile
+
 from .braids import BraidWord
-from .diagrams import Diagram, from_pd, pd_tuples
+from .diagrams import Diagram, DiagramError, from_pd, pd_tuples
 from .homfly import LaurentPoly2
 from .splice import Oval, OvalForest, OvalError
 
@@ -19,6 +23,19 @@ class ParseError(ValueError):
         super().__init__("line %d, col %d: %s" % (line, col, message))
         self.line = line
         self.col = col
+
+
+def line_words(text: str) -> Iterator[tuple[int, list[str]]]:
+    """(line number, words) of every line that holds more than a comment,
+    for the kb, certificate and oval files.
+
+    ``#`` opens a comment at the start of a line or after whitespace; link
+    names themselves contain the character.
+    """
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        words = list(takewhile(lambda w: not w.startswith("#"), raw.split()))
+        if words:
+            yield lineno, words
 
 
 _SYMBOLS = "+-*/^(){}[],"
@@ -293,7 +310,7 @@ def parse_pd(text: str, unknots: int | None = None) -> Diagram:
         return Diagram([], [], free_loops=unknots)
     try:
         return from_pd(tuples, free_loops=unknots or 0)
-    except Exception as exc:
+    except DiagramError as exc:
         raise ParseError(str(exc), l0, c0)
 
 
@@ -309,15 +326,12 @@ def render_pd(d: Diagram) -> str:
 def parse_ovals(text: str) -> OvalForest:
     """One oval per line: ``id parent winding`` with optional ``cx cy r``.
 
-    ``#`` starts a comment; parents may be declared after their children.
-    A radius of exactly 0 marks a fiber circle.
+    Comments follow ``line_words``; parents may be declared after their
+    children.  A radius of exactly 0 marks a fiber circle; OvalForest
+    rejects a negative one.
     """
     ovals = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        body = raw.split("#", 1)[0].strip()
-        if not body:
-            continue
-        parts = body.split()
+    for lineno, parts in line_words(text):
         if len(parts) not in (3, 6):
             raise ParseError("expected 3 or 6 fields, found %d" % len(parts), lineno, 1)
         try:
@@ -326,11 +340,11 @@ def parse_ovals(text: str) -> OvalForest:
             raise ParseError("id, parent, winding must be integers", lineno, 1)
         if len(parts) == 6:
             try:
-                cx, cy, r = float(parts[3]), float(parts[4]), float(parts[5])
+                cx, cy, r = (float(x) for x in parts[3:])
+                if not all(map(math.isfinite, (cx, cy, r))):
+                    raise ValueError
             except ValueError:
-                raise ParseError("geometry fields must be numbers", lineno, 1)
-            if r < 0:
-                raise ParseError("radius cannot be negative", lineno, 1)
+                raise ParseError("geometry fields must be finite numbers", lineno, 1)
             ovals.append(Oval(ident, parent, winding, fiber=(r == 0.0),
                               cx=cx, cy=cy, r=r))
         else:

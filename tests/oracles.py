@@ -3,12 +3,12 @@
 None of these is used by a command: each one reaches a known answer by a
 second way (reflecting a diagram, reversing one component, evaluating the
 skein polynomial at a point, following each component's strands on its
-own, rewriting braid words letter by letter) so that a test can compare the
-two.
+own, rewriting braid words letter by letter, acting on the free group,
+orienting PD input by local rules) so that a test can compare the two.
 """
 
 from cbound.braids import BraidWord
-from cbound.diagrams import Crossing, Diagram, _component_of_arc
+from cbound.diagrams import Crossing, Diagram, DiagramError, _component_of_arc, walk_components
 from cbound.homfly import LaurentPoly2
 
 
@@ -194,3 +194,102 @@ def reference_neighbors(word: tuple[int, ...], strands: int):
                 i, j = abs(a), abs(b)
                 repl = (new[0] * j, new[1] * i, new[2] * j)
                 yield ("relation", strands, word[:t] + repl + word[t + 3 :])
+
+
+# -- braid equality by Artin's action on the free group ----------------------
+
+
+def artin_images(b: BraidWord) -> list[tuple[int, ...]]:
+    """Images of the free generators x_1..x_n under Artin's action of the
+    braid, as freely reduced words in the letters +-1..+-n.
+
+    sigma_i sends x_i to x_i x_{i+1} x_i^-1 and x_{i+1} to x_i; the action
+    is faithful, so two braids are equal exactly when their images agree.
+    """
+    images = [(j,) for j in range(1, b.strands + 1)]
+    for x in b.letters:
+        i = abs(x)
+        sub = {i: (i, i + 1, -i), i + 1: (i,)} if x > 0 else {i: (i + 1,), i + 1: (-i - 1, i, i + 1)}
+
+        def image(g):
+            w = sub.get(abs(g), (abs(g),))
+            return w if g > 0 else tuple(-y for y in reversed(w))
+
+        images = [_free_reduce(tuple(y for g in w for y in image(g))) for w in images]
+    return images
+
+
+# -- PD orientation by constraint propagation --------------------------------
+
+
+def reference_from_pd(tuples: list[tuple[int, int, int, int]], free_loops: int = 0) -> Diagram:
+    """``diagrams.from_pd`` by constraint propagation: a sweep of local
+    rules over head and tail counters, repeated until nothing changes.
+
+    The under strand runs from the first to the third entry.  The over
+    direction at each crossing is fixed by demanding that every arc gets
+    exactly one head and one tail; a crossing left free (on a closed
+    all-over circle) falls back on consecutive arc numbering, one at a time.
+    """
+    for i, j, k, l in tuples:
+        if i == k:
+            raise DiagramError(
+                "crossing X[%d,%d,%d,%d] is orientation-inconsistent: a closed "
+                "curve cannot cross another exactly once" % (i, j, k, l)
+            )
+        if j == l:
+            raise DiagramError(
+                "crossing X[%d,%d,%d,%d] is orientation-inconsistent: over "
+                "strand enters and leaves on the same arc" % (i, j, k, l)
+            )
+    heads: dict[int, int] = {}
+    tails: dict[int, int] = {}
+
+    def claim(table, arc, what):
+        table[arc] = table.get(arc, 0) + 1
+        if table[arc] > 1:
+            raise DiagramError("arc %d has two %s" % (arc, what))
+
+    for i, j, k, l in tuples:
+        claim(heads, i, "heads")
+        claim(tails, k, "tails")
+    # sign[t] = +1 when over runs l->j, -1 when over runs j->l
+    sign: list[int | None] = [None] * len(tuples)
+
+    def orient(t, s):
+        """Fix crossing t's sign and claim its over strand's head and tail."""
+        _, j, _, l = tuples[t]
+        sign[t] = s
+        head, tail = (l, j) if s == 1 else (j, l)
+        claim(heads, head, "heads")
+        claim(tails, tail, "tails")
+
+    changed = True
+    while changed:
+        changed = False
+        for t, (i, j, k, l) in enumerate(tuples):
+            if sign[t] is not None:
+                continue
+            if heads.get(j) or tails.get(l):
+                orient(t, 1)  # j must be a tail, so over runs l -> j
+            elif tails.get(j) or heads.get(l):
+                orient(t, -1)
+            else:
+                continue
+            changed = True
+        if not changed and None in sign:
+            # a circle over at every crossing has no self-crossing, so either
+            # direction is correct; the numbering fixes one crossing (it breaks
+            # where the numbering wraps around) and the rest propagate from it
+            t = sign.index(None)
+            _, j, _, l = tuples[t]
+            orient(t, -1 if j + 1 == l else 1)
+            changed = True
+    crossings: list[Crossing] = []
+    for t, (i, j, k, l) in enumerate(tuples):
+        if sign[t] == 1:
+            crossings.append((i, k, l, j, 1))
+        else:
+            crossings.append((i, k, j, l, -1))
+    comps = walk_components(crossings)
+    return Diagram(crossings, comps, free_loops)

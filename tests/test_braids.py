@@ -35,7 +35,7 @@ from cbound.braids import (
     verify_witness,
 )
 from cbound.notation import parse_braid, render_braid
-from oracles import closure_components_by_sublink, reference_neighbors, strand_cycles
+from oracles import artin_images, closure_components_by_sublink, reference_neighbors, strand_cycles
 
 TREFOIL = BraidWord(2, (1, 1, 1))
 FIG8 = BraidWord(3, (-1, 2, -1, 2))
@@ -77,6 +77,36 @@ def test_braid_equal_relations():
     assert braid_equal(BraidWord(3, (1, 2, 1)), BraidWord(3, (2, 1, 2)))
     assert braid_equal(BraidWord(3, (1, 3 - 2)), BraidWord(3, (1, 1, -1, 1)))  # far commutation + cancel
     assert not braid_equal(TREFOIL, BraidWord(2, (1,)))
+
+
+def _relators(n):
+    """Words equal to the identity on n strands: a cancelling pair, a
+    far commutator, and a braid relation times its other side inverted."""
+    out = []
+    for i in range(1, n):
+        out += [(i, -i), (-i, i)]
+        out += [(i, j, -i, -j) for j in range(i + 2, n)]
+        if i + 1 < n:
+            out.append((i, i + 1, i, -(i + 1), -i, -(i + 1)))
+    return out
+
+
+def test_braid_equal_agrees_with_the_artin_action():
+    rng = random.Random(17)
+    equal = 0
+    for k in range(3200):
+        n = rng.randint(2, 5)
+        a = tuple(rng.choice((1, -1)) * rng.randint(1, n - 1) for _ in range(rng.randint(0, 10)))
+        if k % 2:
+            b = tuple(rng.choice((1, -1)) * rng.randint(1, n - 1) for _ in range(rng.randint(0, 10)))
+        else:
+            t = rng.randint(0, len(a))
+            b = a[:t] + rng.choice(_relators(n)) + a[t:]
+        a, b = BraidWord(n, a), BraidWord(n, b)
+        same = artin_images(a) == artin_images(b)
+        assert braid_equal(a, b) == same, (a, b)
+        equal += same
+    assert 1600 <= equal < 3200
 
 
 def test_mirror():

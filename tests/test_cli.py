@@ -110,6 +110,59 @@ def test_qp_verify_good_and_bad(capsys, fixtures_dir, tmp_path):
     assert code == 3
 
 
+def test_qp_verify_reads_comments_after_whitespace(capsys, tmp_path):
+    cert = tmp_path / "commented.qp"
+    cert.write_text("# two factors\nbraid BR[3,{1,2,-1,-1,2,1}]  # the word\n\tfactors 1:2 -1:2\t# conjugated\n")
+    assert run(capsys, "qp-verify", str(cert), "--machine") == (0, "verified=yes\nchi=1\n", "")
+
+
+_CUT = "line 1, col 1: crossing X[1,2,1,3] is orientation-inconsistent: a closed curve cannot cross another exactly once"
+_LOOP = "line 1, col 1: crossing X[1,2,3,2] is orientation-inconsistent: over strand enters and leaves on the same arc"
+
+
+@pytest.mark.parametrize("argv, text, error", [
+    # diagrams.from_pd and notation.parse_pd
+    (["lk", "PD[X[1,2,1,3]]"], None, _CUT),
+    (["lk", "PD[X[1,2,3,2]]"], None, _LOOP),
+    (["lk", "PD[X[1,2,3,4]]"], None, "line 1, col 1: arc 1 needs two ends, found 1"),
+    (["lk", "PD[X[1,5,2,6],X[1,6,2,5]]"], None, "line 1, col 1: arc 1 has two heads"),
+    (["homfly", "PD[X[1,3,2,4],X[4,1,2,3]]"], None, "line 1, col 1: arc 2 has two tails"),
+    (["lk", "PD[X[1,3,2,4],X[2,3,1,4]]]"], None, "line 1, col 26: trailing input ']'"),
+    (["lk", "PD[X[1,3,2,4] X[2,3,1,4]]"], None, "line 1, col 15: expected , or ], found 'X'"),
+    # notation.parse_ovals
+    (["ovals", "realize", "{file}"], "1 0 1\n2 1\n", "line 2, col 1: expected 3 or 6 fields, found 2"),
+    (["ovals", "realize", "{file}"], "1 0 x\n", "line 1, col 1: id, parent, winding must be integers"),
+    (["ovals", "realize", "{file}"], "1 0 1 0 0 r\n", "line 1, col 1: geometry fields must be finite numbers"),
+    (["ovals", "embed", "{file}"], "1 0 1 0 nan 0.5\n", "line 1, col 1: geometry fields must be finite numbers"),
+    (["ovals", "realize", "{file}"], "# only a comment\n", "line 1, col 1: no ovals in input"),
+    # splice.OvalForest
+    (["ovals", "realize", "{file}"], "0 0 1\n", "line 1, col 1: oval ids must be positive"),
+    (["ovals", "cable", "{file}"], "1 2 1\n2 1 1\n", "line 1, col 1: parent cycle through oval 1"),
+    (["ovals", "realize", "{file}"], "1 0 1 0 0 0\n2 1 1 0 0 0.1\n",
+     "line 1, col 1: fiber 1 cannot contain other ovals"),
+    (["ovals", "realize", "{file}"], "1 0 2 0 0 0\n", "line 1, col 1: fiber 1 needs winding +1 or -1, got 2"),
+    (["ovals", "realize", "{file}"], "1 0 1 0 0 -0.5\n", "line 1, col 1: oval 1 needs positive radius"),
+    (["ovals", "splice", "{file}"], "1 0 1 0 0 0.5\n2 1 1\n",
+     "line 1, col 1: geometry must be given for all ovals or none"),
+    # embed.check_geometry
+    (["ovals", "embed", "{file}"], "1 0 1 0.5 0 0.499\n", "oval 1 touches the unit circle"),
+    # cli.cmd_qp_verify names the line at fault
+    (["qp-verify", "{file}"], "braid BR[3,{1,2,-1,-1,2,1}]\n\nfoo 1\nfactors 1:2 -1:2\n",
+     "certificate line 3: unknown key 'foo'"),
+    (["qp-verify", "{file}"], "# a typo\nfactors :1\nbraid BR[3,{1,2,}]\n",
+     "certificate line 3: line 1, col 11: expected int, found '}'"),
+    (["qp-verify", "{file}"], "braid BR[3,{1,2}]\nfactors :1 :2x\n", "certificate line 2: bad certificate factor ':2x'"),
+    (["qp-verify", "{file}"], "braid BR[3,{1,2}]\nfactors :1 :5\n",
+     "certificate line 2: letter 5 needs at least 6 strands, word declares 3"),
+    (["qp-verify", "{file}"], "# no factors\nbraid BR[3,{1,2}]\n\n", "certificate ends at line 3 without a factors line"),
+])
+def test_each_input_error_exits_1_with_one_error_line(capsys, tmp_path, argv, text, error):
+    if text is not None:
+        (tmp_path / "input").write_text(text)
+    argv = [a.replace("{file}", str(tmp_path / "input")) for a in argv]
+    assert run(capsys, *argv) == (1, "", "error: %s\n" % error)
+
+
 def test_qp_obstruct(capsys):
     code, out, _ = run(capsys, "qp-obstruct", "BR[3,{1,-2,1,-2,1}]")
     assert code == 0
@@ -245,6 +298,15 @@ def test_missing_file_exit_code(capsys):
                                     ("embed", "-s2", ["--samples-scale", "2", "--seed", "3"])]
       for name in ["hopf", "wermer", "wermer_conj", "fan"]
       for machine in [[], ["--machine"]]),
+    *(pytest.param([command, "{fixtures}/appendix.pd", *machine],
+                   "pd/%s.appendix%s.out" % (command, ".machine" if machine else ""),
+                   id="%s-appendix%s" % (command, "-machine" if machine else ""))
+      for command in ["homfly", "lk"]
+      for machine in [[], ["--machine"]]),
+    # one circle over the other at every crossing, oriented by its numbering
+    pytest.param(["lk", "PD[X[1,3,2,4],X[2,3,1,4]]"], "pd/lk.all-over-2.out", id="lk-all-over-2"),
+    pytest.param(["lk", "PD[X[1,6,2,5],X[2,6,3,7],X[3,8,4,7],X[4,8,1,5]]"], "pd/lk.all-over-4.out",
+                 id="lk-all-over-4"),
     # 3-field lines without geometry, and a forest that fails the winding balance
     *(pytest.param(["ovals", "realize", "{fixtures}/unbalanced.ovals", *machine],
                    "ovals/realize.unbalanced%s.out" % (".machine" if machine else ""),

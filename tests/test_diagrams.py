@@ -7,6 +7,7 @@ import pytest
 from cbound.braids import BraidWord
 from cbound.diagrams import (
     Diagram,
+    DiagramError,
     from_braid,
     from_pd,
     linking_matrix,
@@ -18,7 +19,7 @@ from cbound.diagrams import (
 )
 from cbound.homfly import homfly, unlink_poly
 from cbound.notation import parse_pd
-from oracles import mirror_diagram, reverse_component, strand_cycles
+from oracles import mirror_diagram, reference_from_pd, reverse_component, strand_cycles
 
 HOPF_PLUS = BraidWord(2, (1, 1))
 
@@ -65,6 +66,57 @@ def test_an_all_over_circle_the_numbering_orients_keeps_its_diagram():
     d = parse_pd("PD[X[1,3,2,5],X[2,5,1,3]]")
     assert d.crossings == [(1, 2, 5, 3, 1), (2, 1, 3, 5, 1)]
     assert d.components == [[1, 2], [3, 5]]
+
+
+def _same_as_reference(tuples):
+    """from_pd and the propagation reference both raise DiagramError, or
+    both give the same crossings and components; returns whether they
+    accepted."""
+    try:
+        want = reference_from_pd(tuples)
+    except DiagramError:
+        with pytest.raises(DiagramError):
+            from_pd(tuples)
+        return False
+    got = from_pd(tuples)
+    assert (got.crossings, got.components) == (want.crossings, want.components), tuples
+    return True
+
+
+def test_from_pd_matches_the_propagation_reference_on_closures(fixtures_dir):
+    rng = random.Random(23)
+    count = 0
+    for k, b in enumerate(_seeded_words(23, 2400, 5, 14)):
+        tuples = pd_tuples(from_braid(b))
+        if not tuples:
+            continue
+        if k % 2:
+            # fresh arc labels and crossing order
+            arcs = sorted({a for t in tuples for a in t})
+            relabel = dict(zip(arcs, rng.sample(range(1, 4 * len(arcs) + 1), len(arcs))))
+            tuples = [tuple(relabel[a] for a in t) for t in tuples]
+            rng.shuffle(tuples)
+        count += _same_as_reference(tuples)
+    all_over = ["PD[X[1,3,2,4],X[2,3,1,4]]", "PD[X[1,6,2,5],X[2,6,3,7],X[3,8,4,7],X[4,8,1,5]]",
+                "PD[X[1,3,2,5],X[2,5,1,3]]", (fixtures_dir / "appendix.pd").read_text()]
+    for text in all_over:
+        assert _same_as_reference(pd_tuples(parse_pd(text, unknots=0)))
+    assert count >= 2000
+
+
+def test_from_pd_accepts_and_rejects_random_lists_like_the_reference():
+    rng = random.Random(29)
+    accepted = 0
+    for k in range(12000):
+        n = rng.randint(1, 5)
+        if k % 2:
+            # every arc twice, so most lists get past the end count
+            arcs = [a for a in range(1, 2 * n + 1) for _ in (0, 1)]
+            rng.shuffle(arcs)
+        else:
+            arcs = [rng.randint(1, 2 * n + 1) for _ in range(4 * n)]
+        accepted += _same_as_reference([tuple(arcs[4 * t:4 * t + 4]) for t in range(n)])
+    assert 1000 < accepted < 12000
 
 
 def test_pd_round_trip_preserves_linking():

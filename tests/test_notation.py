@@ -4,6 +4,7 @@ import pytest
 
 from cbound.notation import (
     ParseError,
+    line_words,
     parse_braid,
     parse_ovals,
     parse_pd,
@@ -128,3 +129,14 @@ def test_ovals_reject_duplicate_ids():
 def test_ovals_comment_lines():
     f = parse_ovals("# a single oval\n1 0 2 0 0 0.5\n")
     assert [o.winding for o in f.ovals] == [2]
+
+
+def test_line_words_drops_comments_that_start_a_word():
+    text = "# heading\nlink L4a1#1 # a name holding '#'\n\n  braid BR[2,{1}]\t# tab\n   #indented\nx#y z\n"
+    assert list(line_words(text)) == [(2, ["link", "L4a1#1"]), (4, ["braid", "BR[2,{1}]"]), (6, ["x#y", "z"])]
+
+
+def test_ovals_comment_after_a_field_needs_whitespace():
+    assert [o.winding for o in parse_ovals("1 0 2 # two\n").ovals] == [2]
+    with pytest.raises(ParseError, match="line 1, col 1: id, parent, winding must be integers"):
+        parse_ovals("1 0 2#two\n")

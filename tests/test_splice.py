@@ -170,6 +170,13 @@ def test_duplicate_idents_rejected():
         OvalForest([Oval(1, 0, 1), Oval(1, 0, 2)])
 
 
+def test_a_fiber_with_a_radius_is_rejected():
+    # parse_ovals marks exactly the zero radii as fibers, so only a forest
+    # built in code can break this
+    with pytest.raises(OvalError, match="fiber 1 must have radius 0"):
+        OvalForest([Oval(1, 0, 1, fiber=True, cx=0.0, cy=0.0, r=0.1)])
+
+
 # -- the recursive construction and per-pair path search, kept as references --
 
 
