@@ -403,6 +403,13 @@ def chi_minus_lower_bound(b: BraidWord, budget: int = DEFAULT_SEARCH_BUDGET) -> 
     strictly greater score, and nothing scores above mu; only ``explored``
     falls.
 
+    A positive start word, after free reduction, is final and is not
+    explored: no move changes n - l of a positive word.  Flips and
+    reductions need a negative letter, ``destab`` drops one strand and one
+    letter, and the other moves keep the length and the signs.  So the
+    score and the witness are the same; ``explored`` is 0 and ``truncated``
+    false.
+
     A node is ``(strands, mags, neg)``: the tuple of the letters'
     magnitudes and an int whose bit t is set when letter t is negative, so
     a flip clears one bit and a word is positive exactly when ``neg`` is 0.
@@ -421,12 +428,11 @@ def chi_minus_lower_bound(b: BraidWord, budget: int = DEFAULT_SEARCH_BUDGET) -> 
     parents: dict[tuple, tuple | None] = {start_node: None}
     best_score: int | None = None
     best_node = None
+    heap: list[tuple[int, int, tuple]] = []
     if start.is_positive():
         best_score = start.strands - len(start.letters)
         best_node = start_node
-    # reaching the ceiling empties the frontier, which ends the search
-    heap: list[tuple[int, int, tuple]] = []
-    if best_score != ceiling:
+    else:
         heap.append((len(start.letters), next(counter), start_node))
     explored = 0
     truncated = False
@@ -447,6 +453,7 @@ def chi_minus_lower_bound(b: BraidWord, budget: int = DEFAULT_SEARCH_BUDGET) -> 
                     best_score = score
                     best_node = new
                     if score == ceiling:
+                        # an empty frontier ends the search
                         heap.clear()
                         break
             heapq.heappush(heap, (len(new[1]), next(counter), new))

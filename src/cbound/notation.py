@@ -9,6 +9,7 @@ hand-written shapes: ``2-3*v^2 + v^4 + z^(-2)-(2*v^2)/z^2`` as well as
 from __future__ import annotations
 
 import math
+import re
 from collections.abc import Iterator
 from itertools import takewhile
 
@@ -41,46 +42,27 @@ def line_words(text: str) -> Iterator[tuple[int, list[str]]]:
 _SYMBOLS = "+-*/^(){}[],"
 
 
+# a symbol, a decimal run, a name, a line break, or any other non-space
+# character; the spaces between matches are skipped
+_TOKEN = re.compile(r"(?P<sym>[%s])|(?P<int>\d+)|(?P<name>[^\W\d]\w*)|(?P<nl>\n)|\S" % re.escape(_SYMBOLS))
+
+
 class _Tokens:
     """Simple scanner: integers, names, single-char symbols."""
 
     def __init__(self, text: str):
         self.toks: list[tuple[str, str, int, int]] = []  # (kind, value, line, col)
-        line, col = 1, 1
-        i = 0
-        while i < len(text):
-            ch = text[i]
-            if ch == "\n":
-                line += 1
-                col = 1
-                i += 1
-                continue
-            if ch.isspace():
-                col += 1
-                i += 1
-                continue
-            if ch.isdecimal():
-                j = i
-                while j < len(text) and text[j].isdecimal():
-                    j += 1
-                self.toks.append(("int", text[i:j], line, col))
-                col += j - i
-                i = j
-                continue
-            if ch.isalpha() or ch == "_":
-                j = i
-                while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                    j += 1
-                self.toks.append(("name", text[i:j], line, col))
-                col += j - i
-                i = j
-                continue
-            if ch in _SYMBOLS:
-                self.toks.append(("sym", ch, line, col))
-                col += 1
-                i += 1
-                continue
-            raise ParseError("unexpected character %r" % ch, line, col)
+        line, start = 1, 0  # start: offset of the current line's first character
+        for m in _TOKEN.finditer(text):
+            kind, value, col = m.lastgroup, m[0], m.start() - start + 1
+            if kind == "nl":
+                line, start = line + 1, m.end()
+            # a name starts with a letter or "_"; [^\W\d] also lets a
+            # non-decimal digit (², ½, Ⅳ) through
+            elif kind is None or kind == "name" and not (value[0].isalpha() or value[0] == "_"):
+                raise ParseError("unexpected character %r" % value[0], line, col)
+            else:
+                self.toks.append((kind, value, line, col))
         self.pos = 0
 
     def peek(self):
@@ -328,10 +310,11 @@ def parse_ovals(text: str) -> OvalForest:
 
     Comments follow ``line_words``; parents may be declared after their
     children.  A radius of exactly 0 marks a fiber circle; OvalForest
-    rejects a negative one.
+    rejects a negative one.  Its errors name the line of the oval at fault.
     """
-    ovals = []
+    ovals, lines = [], []
     for lineno, parts in line_words(text):
+        lines.append(lineno)
         if len(parts) not in (3, 6):
             raise ParseError("expected 3 or 6 fields, found %d" % len(parts), lineno, 1)
         try:
@@ -354,4 +337,4 @@ def parse_ovals(text: str) -> OvalForest:
     try:
         return OvalForest(ovals)
     except OvalError as exc:
-        raise ParseError(str(exc))
+        raise ParseError(str(exc), lines[exc.at])

@@ -20,7 +20,9 @@ from dataclasses import dataclass, field
 
 
 class OvalError(ValueError):
-    pass
+    def __init__(self, message: str, at: int | None = None):
+        super().__init__(message)
+        self.at = at  # position in OvalForest.ovals of the oval at fault
 
 
 @dataclass(frozen=True)
@@ -47,15 +49,17 @@ class OvalForest:
     ovals: list[Oval]
 
     def __post_init__(self):
-        self._by_id = {o.ident: o for o in self.ovals}
-        if len(self._by_id) != len(self.ovals):
-            raise OvalError("duplicate oval ids")
-        if any(i <= 0 for i in self._by_id):
-            raise OvalError("oval ids must be positive")
+        self._by_id: dict[int, Oval] = {}
+        for k, o in enumerate(self.ovals):
+            if self._by_id.setdefault(o.ident, o) is not o:
+                raise OvalError("duplicate oval ids", k)
+        for k, o in enumerate(self.ovals):
+            if o.ident <= 0:
+                raise OvalError("oval ids must be positive", k)
         self._children: dict[int, list[Oval]] = {i: [] for i in [0, *self._by_id]}
-        for o in self.ovals:
+        for k, o in enumerate(self.ovals):
             if o.parent not in self._children:
-                raise OvalError("oval %d refers to missing parent %d" % (o.ident, o.parent))
+                raise OvalError("oval %d refers to missing parent %d" % (o.ident, o.parent), k)
         for o in sorted(self.ovals, key=lambda o: o.ident):
             self._children[o.parent].append(o)
         self.walk: list[Oval] = []
@@ -73,20 +77,20 @@ class OvalForest:
             while i not in seen:
                 seen.add(i)
                 i = self._by_id[i].parent
-            raise OvalError("parent cycle through oval %d" % i)
-        for o in self.ovals:
+            raise OvalError("parent cycle through oval %d" % i, self.ovals.index(self._by_id[i]))
+        for k, o in enumerate(self.ovals):
             if o.fiber:
                 if self.children(o.ident):
-                    raise OvalError("fiber %d cannot contain other ovals" % o.ident)
+                    raise OvalError("fiber %d cannot contain other ovals" % o.ident, k)
                 if o.winding not in (-1, 1):
-                    raise OvalError("fiber %d needs winding +1 or -1, got %d" % (o.ident, o.winding))
+                    raise OvalError("fiber %d needs winding +1 or -1, got %d" % (o.ident, o.winding), k)
                 if o.has_geometry and o.r != 0.0:
-                    raise OvalError("fiber %d must have radius 0" % o.ident)
+                    raise OvalError("fiber %d must have radius 0" % o.ident, k)
             elif o.has_geometry and o.r <= 0.0:
-                raise OvalError("oval %d needs positive radius" % o.ident)
-        geo = [o.has_geometry for o in self.ovals]
-        if any(geo) and not all(geo):
-            raise OvalError("geometry must be given for all ovals or none")
+                raise OvalError("oval %d needs positive radius" % o.ident, k)
+        for k, o in enumerate(self.ovals):
+            if o.has_geometry != self.ovals[0].has_geometry:
+                raise OvalError("geometry must be given for all ovals or none", k)
 
     def by_id(self, ident: int) -> Oval:
         return self._by_id[ident]

@@ -4,12 +4,14 @@ None of these is used by a command: each one reaches a known answer by a
 second way (reflecting a diagram, reversing one component, evaluating the
 skein polynomial at a point, following each component's strands on its
 own, rewriting braid words letter by letter, acting on the free group,
-orienting PD input by local rules) so that a test can compare the two.
+orienting PD input by local rules, scanning text one character at a
+time) so that a test can compare the two.
 """
 
 from cbound.braids import BraidWord
 from cbound.diagrams import Crossing, Diagram, DiagramError, _component_of_arc, walk_components
 from cbound.homfly import LaurentPoly2
+from cbound.notation import _SYMBOLS, ParseError
 
 
 def mirror_diagram(d: Diagram) -> Diagram:
@@ -293,3 +295,49 @@ def reference_from_pd(tuples: list[tuple[int, int, int, int]], free_loops: int =
             crossings.append((i, k, j, l, -1))
     comps = walk_components(crossings)
     return Diagram(crossings, comps, free_loops)
+
+
+# -- the token scanner as a character loop -------------------------------------
+
+
+def reference_tokens(text: str) -> list[tuple[str, str, int, int]]:
+    """``notation._Tokens(text).toks`` by a loop over the characters:
+    (kind, value, line, col) of every integer, name and symbol, or the
+    ParseError of the first character that starts none of them."""
+    toks: list[tuple[str, str, int, int]] = []  # (kind, value, line, col)
+    line, col = 1, 1
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch == "\n":
+            line += 1
+            col = 1
+            i += 1
+            continue
+        if ch.isspace():
+            col += 1
+            i += 1
+            continue
+        if ch.isdecimal():
+            j = i
+            while j < len(text) and text[j].isdecimal():
+                j += 1
+            toks.append(("int", text[i:j], line, col))
+            col += j - i
+            i = j
+            continue
+        if ch.isalpha() or ch == "_":
+            j = i
+            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            toks.append(("name", text[i:j], line, col))
+            col += j - i
+            i = j
+            continue
+        if ch in _SYMBOLS:
+            toks.append(("sym", ch, line, col))
+            col += 1
+            i += 1
+            continue
+        raise ParseError("unexpected character %r" % ch, line, col)
+    return toks

@@ -352,7 +352,8 @@ def rendered(r):
 def test_chi_search_matches_pinned_results(fixtures_dir):
     # score and witness were pinned before the tuple rewrite; explored and
     # truncated were re-pinned when the search learned to stop at the
-    # component count, which only lowers explored and clears truncated
+    # component count, which only lowers explored and clears truncated, and
+    # explored again when it stopped exploring a positive start word
     pinned = json.loads((fixtures_dir / "chi_search.json").read_text())
     for case in pinned["cases"]:
         r = chi_minus_lower_bound(parse_braid(case["word"]), pinned["budget"])
@@ -374,8 +375,9 @@ def reference_chi_search(b, budget, ceiling=False):
 
     Without ``ceiling`` it runs as the program did before it stopped at the
     component count: it explores until its frontier or budget runs out.
-    With ``ceiling`` it stops where the program does, at the first score
-    equal to the component count."""
+    With ``ceiling`` it stops where the program does: at the first score
+    equal to the component count, and before exploring a start word that
+    is positive after free reduction."""
     start = reduce_word(b)
     start_key = (start.strands, start.letters)
     stop = component_count(start) if ceiling else None
@@ -387,7 +389,7 @@ def reference_chi_search(b, budget, ceiling=False):
     if start.is_positive():
         best_score = start.strands - len(start.letters)
         best_key = start_key
-    if best_score is None or best_score != stop:
+    if not (ceiling and start.is_positive()):
         heapq.heappush(heap, (len(start.letters), next(counter), start.letters, start.strands))
     explored = 0
     truncated = False
@@ -428,12 +430,13 @@ def reference_chi_search(b, budget, ceiling=False):
 
 def assert_matches_reference(b, budget):
     """Same score and witness; fewer or as many nodes explored; a truncation
-    may clear only where the score reached the component count."""
+    may clear only where the score reached the component count or the
+    freely reduced start word is positive."""
     got, ref = chi_minus_lower_bound(b, budget), reference_chi_search(b, budget)
     assert (got.score, rendered(got)) == (ref.score, rendered(ref)), b
     assert got.explored <= ref.explored, b
     if got.truncated != ref.truncated:
-        assert ref.truncated and got.score == component_count(b), b
+        assert ref.truncated and (got.score == component_count(b) or reduce_word(b).is_positive()), b
     return got, ref
 
 
@@ -483,6 +486,19 @@ def test_chi_search_stops_at_the_component_count():
     r = chi_minus_lower_bound(BraidWord(2, (-1,)), 1)
     assert (r.score, r.truncated, r.explored) == (1, False, 1)
     assert reference_chi_search(BraidWord(2, (-1,)), 1).truncated
+
+
+def test_chi_search_does_not_explore_a_positive_start_word():
+    # the trefoil: n - l = -1 is below mu = 1, yet no move changes it
+    for budget in (0, 1):
+        r = chi_minus_lower_bound(TREFOIL, budget)
+        assert (r.score, r.witness, r.truncated, r.explored) == (-1, [], False, 0)
+    # free reduction leaves a positive word; the witness keeps that step
+    b = BraidWord(3, (1, 1, 1, 2, -1, 2, -2, 1, 2, 1))
+    for budget in (0, 5000):
+        r = chi_minus_lower_bound(b, budget)
+        assert (r.score, r.witness, r.truncated, r.explored) == (-3, [("reduce", reduce_word(b))], False, 0)
+        verify_witness(b, r)
 
 
 # -- the search's moves against the moves on letter tuples ---------------------

@@ -101,6 +101,13 @@ def test_chi_reaching_the_ceiling_is_not_truncated(capsys):
     assert err == ""
 
 
+def test_chi_on_a_positive_word_is_not_truncated(capsys):
+    # no move changes n - l of a positive word, so the search stops at once
+    code, out, err = run(capsys, "chi", "BR[4,{1,2,3,1,2,3,1,2,3,2,1}]", "--search-budget", "2000", "--machine")
+    assert (code, err) == (0, "")
+    assert "chi_s_minus.lo=-7\nchi_s_minus.hi=1\nsearch.truncated=no\n" in out
+
+
 def test_qp_verify_good_and_bad(capsys, fixtures_dir, tmp_path):
     code, out, _ = run(capsys, "qp-verify", str(fixtures_dir / "qp_wermer.qp"))
     assert code == 0
@@ -143,7 +150,21 @@ _LOOP = "line 1, col 1: crossing X[1,2,3,2] is orientation-inconsistent: over st
     (["ovals", "realize", "{file}"], "1 0 2 0 0 0\n", "line 1, col 1: fiber 1 needs winding +1 or -1, got 2"),
     (["ovals", "realize", "{file}"], "1 0 1 0 0 -0.5\n", "line 1, col 1: oval 1 needs positive radius"),
     (["ovals", "splice", "{file}"], "1 0 1 0 0 0.5\n2 1 1\n",
-     "line 1, col 1: geometry must be given for all ovals or none"),
+     "line 2, col 1: geometry must be given for all ovals or none"),
+    # ... each naming the line of the oval at fault
+    (["ovals", "realize", "{file}"], "1 0 2 0 0 0.5\n2 1 1\n",
+     "line 2, col 1: geometry must be given for all ovals or none"),
+    (["ovals", "realize", "{file}"], "1 0 1\n# a comment\n2 1 1 0 0 0.5\n3 0 1\n",
+     "line 3, col 1: geometry must be given for all ovals or none"),
+    (["ovals", "realize", "{file}"], "1 0 1\n1 0 2\n", "line 2, col 1: duplicate oval ids"),
+    (["ovals", "realize", "{file}"], "1 0 1\n2 0 1\n1 0 2\n2 1 1\n", "line 3, col 1: duplicate oval ids"),
+    (["ovals", "realize", "{file}"], "1 0 1\n2 7 1\n", "line 2, col 1: oval 2 refers to missing parent 7"),
+    (["ovals", "realize", "{file}"], "1 0 1\n-2 1 1\n", "line 2, col 1: oval ids must be positive"),
+    (["ovals", "cable", "{file}"], "1 0 1\n2 3 1\n3 2 1\n", "line 2, col 1: parent cycle through oval 2"),
+    (["ovals", "realize", "{file}"], "1 0 1 0 0 0.5\n2 1 1 0 0 0\n3 2 1 0 0 0.1\n",
+     "line 2, col 1: fiber 2 cannot contain other ovals"),
+    (["ovals", "realize", "{file}"], "1 0 1 0 0 0.5\n\n2 1 3 0 0 0\n", "line 3, col 1: fiber 2 needs winding +1 or -1, got 3"),
+    (["ovals", "realize", "{file}"], "1 0 1 0 0 0.5\n2 1 1 0 0 -0.1\n", "line 2, col 1: oval 2 needs positive radius"),
     # embed.check_geometry
     (["ovals", "embed", "{file}"], "1 0 1 0.5 0 0.499\n", "oval 1 touches the unit circle"),
     # cli.cmd_qp_verify names the line at fault

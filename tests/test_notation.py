@@ -1,9 +1,15 @@
 """Parser/printer round trips and error positions."""
 
+import random
+import time
+
 import pytest
 
+from cbound.braids import BraidWord
+from cbound.diagrams import from_braid
 from cbound.notation import (
     ParseError,
+    _Tokens,
     line_words,
     parse_braid,
     parse_ovals,
@@ -13,6 +19,7 @@ from cbound.notation import (
     render_pd,
     render_poly,
 )
+from oracles import reference_tokens
 
 
 def test_braid_round_trip():
@@ -140,3 +147,72 @@ def test_ovals_comment_after_a_field_needs_whitespace():
     assert [o.winding for o in parse_ovals("1 0 2 # two\n").ovals] == [2]
     with pytest.raises(ParseError, match="line 1, col 1: id, parent, winding must be integers"):
         parse_ovals("1 0 2#two\n")
+
+
+# -- the scanner against the character loop -----------------------------------
+
+
+def scan(tokenize, text):
+    try:
+        return tokenize(text)
+    except ParseError as exc:
+        return str(exc), exc.line, exc.col
+
+
+# ASCII tokens, the spaces and line breaks, characters no token takes, and
+# non-ASCII ones: a decimal digit (٣), non-decimal digits (², ½, Ⅳ),
+# letters (é, ß) and a combining accent that is none of these
+_PIECES = ["BR", "PD", "X", "v", "z", "_a1", "x2", "0", "17", *"+-*/^(){}[],",
+           " ", "\t", "\r", "\n", "\n", "\xa0", "#", ".", "٣", "²", "½", "é", "ß", "Ⅳ", "\u0301"]
+
+
+def test_scanner_matches_the_character_loop():
+    rng = random.Random(1801)
+    errors = 0
+    for _ in range(100000):
+        text = "".join(rng.choices(_PIECES, k=rng.randint(0, 12)))
+        got = scan(lambda t: _Tokens(t).toks, text)
+        assert got == scan(reference_tokens, text), repr(text)
+        errors += isinstance(got, tuple)
+    # both outcomes are well represented
+    assert 20000 < errors < 80000
+
+
+def test_scanner_positions_and_errors():
+    assert _Tokens("BR[ x_²,\n\t٣7 }").toks == [
+        ("name", "BR", 1, 1), ("sym", "[", 1, 3), ("name", "x_²", 1, 5), ("sym", ",", 1, 8),
+        ("int", "٣7", 2, 2), ("sym", "}", 2, 5)]
+    for text, message in (
+        ("v +\n  ²", "line 2, col 3: unexpected character '²'"),
+        ("z*½", "line 1, col 3: unexpected character '½'"),
+        ("\r\nⅣ", "line 2, col 1: unexpected character 'Ⅳ'"),
+        ("e\u0301", "line 1, col 2: unexpected character '\u0301'"),
+        ("1.5", "line 1, col 2: unexpected character '.'"),
+    ):
+        with pytest.raises(ParseError) as ei:
+            _Tokens(text)
+        assert str(ei.value) == message
+
+
+# -- very large literals ---------------------------------------------------------
+
+
+def random_letters(rng, strands, length):
+    return tuple(rng.choice((1, -1)) * rng.randint(1, strands - 1) for _ in range(length))
+
+
+def test_a_200000_letter_braid_parses_in_linear_time():
+    b = BraidWord(3, random_letters(random.Random(1802), 3, 200000))
+    text = render_braid(b).replace(", ", ",\n", 1000)
+    t0 = time.perf_counter()
+    got = parse_braid(text)
+    assert time.perf_counter() - t0 < 10
+    assert got == b
+
+
+def test_a_50000_crossing_pd_parses_in_linear_time():
+    text = render_pd(from_braid(BraidWord(4, random_letters(random.Random(1803), 4, 50000))))
+    t0 = time.perf_counter()
+    d = parse_pd(text)
+    assert time.perf_counter() - t0 < 10
+    assert render_pd(d) == text
