@@ -151,7 +151,18 @@ _LOOP = "line 1, col 1: crossing X[1,2,3,2] is orientation-inconsistent: over st
     (["ovals", "realize", "{file}"], "1 0 1 0 0 -0.5\n", "line 1, col 1: oval 1 needs positive radius"),
     (["ovals", "splice", "{file}"], "1 0 1 0 0 0.5\n2 1 1\n",
      "line 2, col 1: geometry must be given for all ovals or none"),
-    # ... each naming the line of the oval at fault
+    # embed.check_geometry
+    (["ovals", "embed", "{file}"], "1 0 1 0.5 0 0.499\n", "oval 1 touches the unit circle"),
+    # cli.cmd_qp_verify names the line at fault
+    (["qp-verify", "{file}"], "braid BR[3,{1,2,-1,-1,2,1}]\n\nfoo 1\nfactors 1:2 -1:2\n",
+     "certificate line 3: unknown key 'foo'"),
+    (["qp-verify", "{file}"], "# a typo\nfactors :1\nbraid BR[3,{1,2,}]\n",
+     "certificate line 3: line 1, col 11: expected int, found '}'"),
+    (["qp-verify", "{file}"], "braid BR[3,{1,2}]\nfactors :1 :2x\n", "certificate line 2: bad certificate factor ':2x'"),
+    (["qp-verify", "{file}"], "braid BR[3,{1,2}]\nfactors :1 :5\n",
+     "certificate line 2: letter 5 needs at least 6 strands, word declares 3"),
+    (["qp-verify", "{file}"], "# no factors\nbraid BR[3,{1,2}]\n\n", "certificate ends at line 3 without a factors line"),
+    # splice.OvalForest and notation.parse_ovals, each naming the line of the oval at fault
     (["ovals", "realize", "{file}"], "1 0 2 0 0 0.5\n2 1 1\n",
      "line 2, col 1: geometry must be given for all ovals or none"),
     (["ovals", "realize", "{file}"], "1 0 1\n# a comment\n2 1 1 0 0 0.5\n3 0 1\n",
@@ -165,17 +176,6 @@ _LOOP = "line 1, col 1: crossing X[1,2,3,2] is orientation-inconsistent: over st
      "line 2, col 1: fiber 2 cannot contain other ovals"),
     (["ovals", "realize", "{file}"], "1 0 1 0 0 0.5\n\n2 1 3 0 0 0\n", "line 3, col 1: fiber 2 needs winding +1 or -1, got 3"),
     (["ovals", "realize", "{file}"], "1 0 1 0 0 0.5\n2 1 1 0 0 -0.1\n", "line 2, col 1: oval 2 needs positive radius"),
-    # embed.check_geometry
-    (["ovals", "embed", "{file}"], "1 0 1 0.5 0 0.499\n", "oval 1 touches the unit circle"),
-    # cli.cmd_qp_verify names the line at fault
-    (["qp-verify", "{file}"], "braid BR[3,{1,2,-1,-1,2,1}]\n\nfoo 1\nfactors 1:2 -1:2\n",
-     "certificate line 3: unknown key 'foo'"),
-    (["qp-verify", "{file}"], "# a typo\nfactors :1\nbraid BR[3,{1,2,}]\n",
-     "certificate line 3: line 1, col 11: expected int, found '}'"),
-    (["qp-verify", "{file}"], "braid BR[3,{1,2}]\nfactors :1 :2x\n", "certificate line 2: bad certificate factor ':2x'"),
-    (["qp-verify", "{file}"], "braid BR[3,{1,2}]\nfactors :1 :5\n",
-     "certificate line 2: letter 5 needs at least 6 strands, word declares 3"),
-    (["qp-verify", "{file}"], "# no factors\nbraid BR[3,{1,2}]\n\n", "certificate ends at line 3 without a factors line"),
 ])
 def test_each_input_error_exits_1_with_one_error_line(capsys, tmp_path, argv, text, error):
     if text is not None:
