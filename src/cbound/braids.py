@@ -13,8 +13,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 
-#: default node cap of the chi search (``chi_minus_lower_bound``)
+#: default work cap of the chi search (``chi_minus_lower_bound``), in units
 DEFAULT_SEARCH_BUDGET = 100000
+#: exploring a node of l letters costs ceil(l / SEARCH_UNIT_LETTERS) units, at least 1
+SEARCH_UNIT_LETTERS = 16
 
 
 class BraidError(ValueError):
@@ -319,61 +321,121 @@ def _sign_bits(signs) -> int:
     return sum(1 << k for k, s in enumerate(signs) if s < 0)
 
 
-# the relation rule on 3-bit sign patterns, bit k set when letter t + k is negative
-_RELATION_BITS = {_sign_bits(old): _sign_bits(new) for old, new in _RELATION_SIGNS.items()}
-
-
-def _encode(strands: int, word: tuple[int, ...]) -> tuple:
-    return strands, tuple(map(abs, word)), _sign_bits(word)
+# the relation rule on 3-bit sign patterns, bit k set when letter t + k is
+# negative: indexed by the old pattern, None where no relation applies
+_RELATION_BITS = tuple(map({_sign_bits(old): _sign_bits(new) for old, new in _RELATION_SIGNS.items()}.get, range(8)))
 
 
 def _letters(mags: tuple[int, ...], neg: int) -> tuple[int, ...]:
     return tuple(-m if neg >> t & 1 else m for t, m in enumerate(mags))
 
 
-def _shape(mags: tuple[int, ...]) -> tuple:
-    """The sign-free parts of the moves of a word with these magnitudes:
-    ``_destab``, the commute and relation positions, and the bitmask of
+def _cancel(mags: tuple[int, ...], neg: int, pairs: int) -> tuple[tuple[int, ...], int]:
+    """Free reduction on magnitudes and sign bits: remove the lowest
+    cancelling pair until none is left.  ``pairs`` has bit t set when
+    letters t and t + 1 have equal magnitude; a removal shifts the bits
+    above the pair down by two and renews the one at the seam.  Free
+    reduction is confluent, so the word is that of ``_free_reduce``."""
+    while cancel := (neg ^ neg >> 1) & pairs:
+        t = (cancel & -cancel).bit_length() - 1
+        keep = (1 << t) - 1
+        neg = neg & keep | neg >> t + 2 << t
+        pairs = pairs & keep >> 1 | pairs >> t + 2 << t
+        mags = mags[:t] + mags[t + 2 :]
+        if 0 < t < len(mags) and mags[t - 1] == mags[t]:
+            pairs |= 1 << t - 1
+    return mags, neg
+
+
+class _Table:
+    """The magnitude words of one search, interned to small int ids, with
+    the sign-free parts of their moves computed once per id.
+
+    A node is ``(strands, id, neg)``: bit t of ``neg`` is set when letter t
+    is negative.  ``shape(i)`` gives the word's length, the bitmask of
     positions t where letters t and t + 1 have equal magnitude (the only
-    places where a pair can cancel)."""
-    n = len(mags)
-    commutes = tuple(t for t in range(n - 1) if abs(mags[t] - mags[t + 1]) > 1)
-    relations = tuple(t for t in range(n - 2) if mags[t] == mags[t + 2] and abs(mags[t] - mags[t + 1]) == 1)
-    pairs = sum(1 << t for t in range(n - 1) if mags[t] == mags[t + 1])
-    return _destab(mags), commutes, relations, pairs
+    places where a pair can cancel), the ``_destab`` target as an id with
+    the bit each old position moves to (0 for the dropped letter), the
+    rotated word's id, and each commute and each relation as (position,
+    id).  None of these depends on the strand count or on the signs."""
+
+    def __init__(self):
+        self.ids: dict[tuple[int, ...], int] = {}
+        self.mags: list[tuple[int, ...]] = []
+        self.shapes: list[tuple | None] = []
+
+    def intern(self, mags: tuple[int, ...]) -> int:
+        i = self.ids.get(mags)
+        if i is None:
+            i = self.ids[mags] = len(self.mags)
+            self.mags.append(mags)
+            self.shapes.append(None)
+        return i
+
+    def node(self, strands: int, word: tuple[int, ...]) -> tuple[int, int, int]:
+        return strands, self.intern(tuple(map(abs, word))), _sign_bits(word)
+
+    def shape(self, i: int) -> tuple:
+        mags = self.mags[i]
+        n = len(mags)
+        pairs = 0
+        commutes = []
+        relations = []
+        for t in range(n - 1):
+            a, b = mags[t], mags[t + 1]
+            if a == b:
+                pairs |= 1 << t
+            elif abs(a - b) > 1:
+                commutes.append((t, self.intern(mags[:t] + (b, a) + mags[t + 2 :])))
+            elif t < n - 2 and mags[t + 2] == a:
+                relations.append((t, self.intern(mags[:t] + (b, a, b) + mags[t + 3 :])))
+        destab = _destab(mags)
+        if destab is not None:
+            dmags, order = destab
+            moved = [0] * n
+            for k, t in enumerate(order):
+                moved[t] = 1 << k
+            destab = self.intern(dmags), moved
+        rotated = self.intern(mags[1:] + mags[:1]) if n > 1 else None
+        shape = self.shapes[i] = n, pairs, destab, rotated, commutes, relations
+        return shape
 
 
-def _moves(node: tuple, shapes: dict):
+def _moves(node: tuple[int, int, int], table: _Table):
     """Rewriting moves of a search node that never increase word length, as
     (move name, new node), flips first; the witness path for a
-    flip-then-reduce simplification is then found in that order.  ``shapes``
-    caches ``_shape`` by magnitudes."""
-    strands, mags, neg = node
-    destab, commutes, relations, pairs = shapes.get(mags) or shapes.setdefault(mags, _shape(mags))
+    flip-then-reduce simplification is then found in that order.  Only the
+    sign bits are computed here; the rest comes from ``table``."""
+    strands, i, neg = node
+    n, pairs, destab, rotated, commutes, relations = table.shapes[i] or table.shape(i)
     # sign flips sigma^-1 -> sigma (sound for lower bounds, see chi search),
     # clearing the set bits from low to high
     rest = neg
     while rest:
         low = rest & -rest
-        yield "flip", (strands, mags, neg ^ low)
+        yield "flip", (strands, i, neg ^ low)
         rest ^= low
     if (neg ^ neg >> 1) & pairs:
-        yield "reduce", _encode(strands, _free_reduce(_letters(mags, neg)))
+        mags, rneg = _cancel(table.mags[i], neg, pairs)
+        yield "reduce", (strands, table.intern(mags), rneg)
     if destab is not None:
-        dmags, order = destab
-        yield "destab", (strands - 1, dmags, sum(1 << k for k, t in enumerate(order) if neg >> t & 1))
-    if len(mags) > 1:
-        yield "rotate", (strands, mags[1:] + mags[:1], neg >> 1 | (neg & 1) << len(mags) - 1)
-    for t in commutes:
-        new = list(mags)
-        new[t], new[t + 1] = mags[t + 1], mags[t]
-        yield "commute", (strands, tuple(new), neg ^ ((neg >> t ^ neg >> t + 1) & 1) * 3 << t)
-    for t in relations:
-        signs = _RELATION_BITS.get(neg >> t & 7)
+        # each negative letter's bit moves to its new position
+        d, moved = destab
+        dneg = 0
+        rest = neg
+        while rest:
+            low = rest & -rest
+            dneg |= moved[low.bit_length() - 1]
+            rest ^= low
+        yield "destab", (strands - 1, d, dneg)
+    if rotated is not None:
+        yield "rotate", (strands, rotated, neg >> 1 | (neg & 1) << n - 1)
+    for t, c in commutes:
+        yield "commute", (strands, c, neg ^ ((neg >> t ^ neg >> t + 1) & 1) * 3 << t)
+    for t, r in relations:
+        signs = _RELATION_BITS[neg >> t & 7]
         if signs is not None:
-            new = list(mags)
-            new[t : t + 3] = mags[t + 1], mags[t], mags[t + 1]
-            yield "relation", (strands, tuple(new), neg & ~(7 << t) | signs << t)
+            yield "relation", (strands, r, neg & ~(7 << t) | signs << t)
 
 
 @dataclass
@@ -410,18 +472,25 @@ def chi_minus_lower_bound(b: BraidWord, budget: int = DEFAULT_SEARCH_BUDGET) -> 
     score and the witness are the same; ``explored`` is 0 and ``truncated``
     false.
 
-    A node is ``(strands, mags, neg)``: the tuple of the letters'
-    magnitudes and an int whose bit t is set when letter t is negative, so
-    a flip clears one bit and a word is positive exactly when ``neg`` is 0.
-    The sign-free parts of the moves (``_shape``) are computed once per
-    magnitude tuple and kept in a dict that lives for this call; words are
-    decoded only along the witness path.
+    ``budget`` bounds work: exploring a node of l letters costs
+    ceil(l / SEARCH_UNIT_LETTERS) units, at least 1, and the search stops
+    before a node whose cost would take it past the budget.  No move
+    lengthens a word, so no node costs more than the freely reduced start.
+
+    A node is ``(strands, id, neg)``: ``id`` names the tuple of the
+    letters' magnitudes in a ``_Table`` that lives for this call, and bit t
+    of ``neg`` is set when letter t is negative, so a flip clears one bit
+    and a word is positive exactly when ``neg`` is 0.  The table computes
+    the sign-free parts of the moves once per magnitude word, so a node
+    computes only sign bits, and free reduction runs on those bits
+    (``_cancel``).  Words are decoded only along the witness path.
     """
     start = reduce_word(b)
-    start_node = _encode(start.strands, start.letters)
+    table = _Table()
+    mags = table.mags
+    start_node = table.node(start.strands, start.letters)
     ceiling = component_count(start)
     counter = itertools.count()
-    shapes: dict[tuple[int, ...], tuple] = {}
     # visited set is word-level: braid-relation and commutation rewrites fix
     # the group element but change which flips and cancellations exist, so
     # collapsing nodes by normal form would cut off required simplifications
@@ -434,21 +503,24 @@ def chi_minus_lower_bound(b: BraidWord, budget: int = DEFAULT_SEARCH_BUDGET) -> 
         best_node = start_node
     else:
         heap.append((len(start.letters), next(counter), start_node))
-    explored = 0
+    spent = explored = 0
     truncated = False
     while heap:
-        if explored >= budget:
+        cost = -(-heap[0][0] // SEARCH_UNIT_LETTERS) or 1
+        if spent + cost > budget:
             truncated = True
             break
+        spent += cost
         node = heapq.heappop(heap)[2]
         explored += 1
-        for move, new in _moves(node, shapes):
+        for move, new in _moves(node, table):
             if new in parents:
                 continue
             parents[new] = (node, move)
+            length = len(mags[new[1]])
             # score on first encounter: positive words are exact realizations
             if not new[2]:
-                score = new[0] - len(new[1])
+                score = new[0] - length
                 if best_score is None or score > best_score:
                     best_score = score
                     best_node = new
@@ -456,7 +528,7 @@ def chi_minus_lower_bound(b: BraidWord, budget: int = DEFAULT_SEARCH_BUDGET) -> 
                         # an empty frontier ends the search
                         heap.clear()
                         break
-            heapq.heappush(heap, (len(new[1]), next(counter), new))
+            heapq.heappush(heap, (length, next(counter), new))
     if best_score is None:
         # fall back on flipping every remaining negative letter at once; a
         # positive word has nothing left to cancel
@@ -465,7 +537,7 @@ def chi_minus_lower_bound(b: BraidWord, budget: int = DEFAULT_SEARCH_BUDGET) -> 
     node = best_node
     while parents[node] is not None:
         parent, move = parents[node]
-        path.append((move, BraidWord(node[0], _letters(node[1], node[2]))))
+        path.append((move, BraidWord(node[0], _letters(mags[node[1]], node[2]))))
         node = parent
     path.reverse()
     if b.letters != start.letters:
@@ -485,8 +557,9 @@ def verify_witness(start: BraidWord, result: ChiSearchResult) -> None:
     the bound of flipping every negative letter at once.
     """
     strands, word = start.strands, start.letters
+    table = _Table()
     for k, (move, w) in enumerate(result.witness):
-        if (move, _encode(w.strands, w.letters)) not in set(_moves(_encode(strands, word), {})):
+        if (move, table.node(w.strands, w.letters)) not in set(_moves(table.node(strands, word), table)):
             raise BraidError("witness step %d is not a %s move of the word before it" % (k, move))
         strands, word = w.strands, w.letters
     if not result.witness:

@@ -14,7 +14,7 @@ import functools
 import os
 import sys
 
-from .braids import DEFAULT_SEARCH_BUDGET, BraidError, BraidWord, qp_chi
+from .braids import DEFAULT_SEARCH_BUDGET, SEARCH_UNIT_LETTERS, BraidError, BraidWord, qp_chi, reduce_word
 from .classify import (
     ClassifyError,
     LinkRecord,
@@ -126,10 +126,16 @@ def cmd_chi(args) -> int:
     # a truncated search whose score reached the component count (the upper
     # end of chi_s^- in a one-record ledger) is still tight
     if row.search.truncated and row.search.score < mhi:
+        # every node costs one unit unless the freely reduced word is longer
+        longest = len(reduce_word(b))
+        if longest <= SEARCH_UNIT_LETTERS:
+            spent = "%d nodes ran out after %d explored" % (args.search_budget, row.search.explored)
+        else:
+            spent = "%d units ran out after %d nodes of up to %d letters explored (ceil(l/%d) units a node)" % (
+                args.search_budget, row.search.explored, longest, SEARCH_UNIT_LETTERS)
         print(
-            "warning: search budget of %d nodes ran out after %d explored, at chi_s^- >= %d (ceiling %d); "
-            "lower bound may be slack"
-            % (args.search_budget, row.search.explored, row.search.score, mhi),
+            "warning: search budget of %s, at chi_s^- >= %d (ceiling %d); lower bound may be slack"
+            % (spent, row.search.score, mhi),
             file=sys.stderr,
         )
     return 0
@@ -277,7 +283,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="crossings per expanded skein node, or Hecke coefficients written on braids "
                          "of up to %d strands" % HECKE_MAX_STRANDS)
     search = _option("--search-budget", type=_count, default=DEFAULT_SEARCH_BUDGET, dest="search_budget",
-                     help="node cap for the chi search")
+                     help="work cap for the chi search: a node of l letters costs ceil(l/%d) units"
+                          % SEARCH_UNIT_LETTERS)
     seed = _option("--seed", type=_count, default=0, help="projection chart seed")
 
     ap = argparse.ArgumentParser(prog="cbound", description="link invariants and boundary classification")

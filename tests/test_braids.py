@@ -4,19 +4,26 @@ import heapq
 import itertools
 import json
 import random
+import time
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from cbound.braids import (
+    DEFAULT_SEARCH_BUDGET,
+    SEARCH_UNIT_LETTERS,
     BraidError,
     BraidWord,
     ChiSearchResult,
     QPFactorization,
-    _encode,
+    _cancel,
+    _free_reduce,
     _letters,
     _moves,
+    _sign_bits,
+    _Table,
     _surface_pieces,
     bennequin_chi,
     braid_equal,
@@ -506,13 +513,103 @@ def test_chi_search_does_not_explore_a_positive_start_word():
 
 def test_moves_match_reference_neighbors():
     rng = random.Random(1511)
-    shapes = {}
+    table = _Table()
     for _ in range(20000):
         b = random_word(rng, 9, 16)
-        got = [(move, ns, _letters(mags, neg)) for move, (ns, mags, neg) in _moves(_encode(b.strands, b.letters), shapes)]
+        node = table.node(b.strands, b.letters)
+        got = [(move, ns, _letters(table.mags[i], neg)) for move, (ns, i, neg) in _moves(node, table)]
         assert got == list(reference_neighbors(b.letters, b.strands)), b
     # one shape per magnitude word, shared by words of any strand count
-    assert len(shapes) < 20000
+    assert sum(shape is not None for shape in table.shapes) < 20000
+
+
+def cascades(rng):
+    """Seeded words built so that free reduction cascades: nested x y -y -x
+    shells around a core, cancelling pairs at both ends, and rotations of
+    these."""
+    def letter():
+        return rng.choice([1, -1]) * rng.randint(1, 4)
+
+    for _ in range(3000):
+        core = [letter() for _ in range(rng.randint(0, 3))]
+        shells = [letter() for _ in range(rng.randint(1, 5))]
+        word = shells + core + [-x for x in reversed(shells)]
+        for _ in range(rng.randint(0, 2)):
+            x = letter()
+            word = [x, -x] + word if rng.random() < 0.5 else word + [x, -x]
+        if rng.random() < 0.5:
+            x = letter()
+            word = [-x] + word + [x]
+        k = rng.randrange(len(word))
+        yield tuple(word)
+        yield tuple(word[k:] + word[:k])
+
+
+def test_cancel_on_sign_bits_equals_free_reduction_on_cascades():
+    table = _Table()
+    deep = 0
+    for word in cascades(random.Random(1901)):
+        _, i, neg = table.node(5, word)
+        pairs = table.shape(i)[1]
+        mags, rneg = _cancel(table.mags[i], neg, pairs)
+        want = _free_reduce(word)
+        assert (mags, rneg) == (tuple(map(abs, want)), _sign_bits(want)), word
+        deep += len(word) - len(want) >= 6
+    assert deep >= 1000
+    # the seam update: 1 2 -2 -1 empties only if removing 2 -2 joins 1 and -1
+    assert _cancel((1, 2, 2, 1), 0b1100, 0b010) == ((), 0)
+
+
+# -- the search budget bounds work -------------------------------------------------
+
+
+def test_a_node_of_17_letters_costs_2_units():
+    # the start node and its first children keep every letter, so the first
+    # pops all have the start's length
+    w16 = BraidWord(3, (-1, -2) * 8)
+    w17 = BraidWord(3, (-1, -2) * 8 + (-1,))
+    assert SEARCH_UNIT_LETTERS == 16
+    for budget in range(12):
+        r16, r17 = chi_minus_lower_bound(w16, budget), chi_minus_lower_bound(w17, budget)
+        assert (r16.truncated, r16.explored) == (True, budget)
+        assert (r17.truncated, r17.explored) == (True, budget // 2)
+
+
+# 3 strands, 198 letters: drawn with random.Random(198), letter by letter as
+# rng.choice([1, -1]) * rng.randint(1, 2), skipping a letter that would cancel
+# the one before it
+LONG_WORD = BraidWord(3, (
+    2, 2, -1, -1, -1, -1, -2, -2, 1, 1, -2, 1, -2, -2, -1, 2, 1, 2, 2, -1,
+    -2, -1, -2, 1, 1, -2, 1, 1, 1, 2, 2, 2, -1, -1, -2, 1, -2, -2, -2, -1,
+    2, 2, 1, 2, 2, -1, -2, -1, -2, 1, -2, -2, 1, 1, 1, -2, -2, 1, 1, 1,
+    -2, 1, 1, -2, -1, 2, -1, -2, -2, -1, 2, 1, 2, 2, 1, 2, 2, 2, 1, 1,
+    1, -2, 1, 1, 2, -1, -1, 2, 2, 1, 2, 2, 2, -1, -1, -2, 1, -2, -2, -1,
+    -1, -2, -1, 2, 2, 1, 1, 2, 1, -2, 1, 2, 2, -1, -2, -1, -1, 2, 2, -1,
+    2, 2, -1, 2, 2, 1, 1, -2, -1, -1, -1, -1, -1, -1, 2, -1, -2, -1, -1, 2,
+    2, 1, 2, 1, -2, -2, -2, -2, 1, 2, 2, 2, 2, -1, -2, 1, 1, -2, -2, 1,
+    2, 2, -1, -1, 2, 2, 1, -2, 1, 2, 2, 2, 1, -2, -2, 1, 2, 1, 1, 1,
+    1, -2, -1, -2, -2, 1, 2, 2, 1, 1, 2, -1, 2, 1, 2, -1, 2, -1,
+))
+
+
+def test_the_default_budget_bounds_the_search_on_a_198_letter_word():
+    # under the old node cap this word ran 70 s and took 338 MB; a node of
+    # it costs 13 units, fewer once reductions shorten it.  Under
+    # tracemalloc the search took 11-15 s and peaked at 97 MB on one core of
+    # an Intel Xeon (1.4-2.0 s untraced)
+    assert len(LONG_WORD) == 198 and reduce_word(LONG_WORD) == LONG_WORD
+    tracemalloc.start()
+    try:
+        started = time.perf_counter()
+        r = chi_minus_lower_bound(LONG_WORD)
+        seconds = time.perf_counter() - started
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert r.truncated and DEFAULT_SEARCH_BUDGET // 13 <= r.explored <= DEFAULT_SEARCH_BUDGET
+    assert seconds < 60
+    assert peak < 160 * 2**20
+    verify_witness(LONG_WORD, r)
 
 
 # -- witness replay -------------------------------------------------------------

@@ -83,6 +83,15 @@ def test_chi_truncated_golden_warns_with_its_score_and_ceiling(capsys):
                    "at chi_s^- >= 1 (ceiling 3); lower bound may be slack\n")
 
 
+def test_chi_budget_warning_counts_units_on_a_word_of_more_than_16_letters(capsys):
+    # each node of 17 letters costs 2 units, so 11 units explore 5 nodes
+    word = "BR[3,{-1,-2,-1,-2,-1,-2,-1,-2,-1,-2,-1,-2,-1,-2,-1,-2,-1}]"
+    code, out, err = run(capsys, "chi", word, "--search-budget", "11", "--machine")
+    assert code == 0 and out.endswith("search.truncated=yes\n")
+    assert err == ("warning: search budget of 11 units ran out after 5 nodes of up to 17 letters explored "
+                   "(ceil(l/16) units a node), at chi_s^- >= -14 (ceiling 2); lower bound may be slack\n")
+
+
 @pytest.mark.parametrize("word", ["BR[2,{-1}]", "BR[3,{1,-2}]"])
 def test_chi_no_slack_warning_at_the_ceiling(capsys, word):
     # with no budget the all-flipped fallback already reaches mu = 1, so the
