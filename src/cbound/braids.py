@@ -438,6 +438,13 @@ def _moves(node: tuple[int, int, int], table: _Table):
             yield "relation", (strands, r, neg & ~(7 << t) | signs << t)
 
 
+def _reach(node: tuple[int, int, int], length: int) -> int:
+    """The most a positive word reachable from a node of ``length``
+    letters can score: see ``chi_minus_lower_bound``."""
+    strands, _, neg = node
+    return strands - length + 2 * min(neg.bit_count(), length // 2)
+
+
 @dataclass
 class ChiSearchResult:
     score: int
@@ -464,6 +471,22 @@ def chi_minus_lower_bound(b: BraidWord, budget: int = DEFAULT_SEARCH_BUDGET) -> 
     the score or the witness: the best terminal is replaced only by a
     strictly greater score, and nothing scores above mu; only ``explored``
     falls.
+
+    The search also cuts every word that cannot beat the best score so far.
+    A word on s strands with l letters, k of them negative, reaches no
+    positive word scoring above R = s - l + 2 min(k, floor(l / 2))
+    (``_reach``): a reached word scores s - l + 2r after r cancelled pairs,
+    each pair spends a negative letter, no move adds one, and 2r <= l.  No
+    move raises R: flips and ``destab`` can only lower it, free reduction
+    keeps it, and the other moves keep s, l and k.  Once a best score
+    exists, a popped node with R <= best is dropped without being charged
+    or counted, and a new child with R <= best is neither recorded nor
+    pushed.  R never rises along a move and the best only rises, so every
+    node below a cut node is cut too: the search explores the nodes it
+    would explore without the cut, minus the cut ones, in the same order.
+    A search that completes without the cut has the same score, witness
+    and ``truncated`` with it; under a budget it gets further, so no score
+    falls.  ``truncated`` is false when every unexplored word was cut.
 
     A positive start word, after free reduction, is final and is not
     explored: no move changes n - l of a positive word.  Flips and
@@ -506,28 +529,33 @@ def chi_minus_lower_bound(b: BraidWord, budget: int = DEFAULT_SEARCH_BUDGET) -> 
     spent = explored = 0
     truncated = False
     while heap:
-        cost = -(-heap[0][0] // SEARCH_UNIT_LETTERS) or 1
+        length, _, node = heap[0]
+        if best_score is not None and _reach(node, length) <= best_score:
+            heapq.heappop(heap)
+            continue
+        cost = -(-length // SEARCH_UNIT_LETTERS) or 1
         if spent + cost > budget:
             truncated = True
             break
         spent += cost
-        node = heapq.heappop(heap)[2]
+        heapq.heappop(heap)
         explored += 1
         for move, new in _moves(node, table):
             if new in parents:
                 continue
-            parents[new] = (node, move)
             length = len(mags[new[1]])
-            # score on first encounter: positive words are exact realizations
+            if best_score is not None and _reach(new, length) <= best_score:
+                continue
+            parents[new] = (node, move)
+            # score on first encounter: positive words are exact realizations,
+            # and one that passed the cut beats the best so far
             if not new[2]:
-                score = new[0] - length
-                if best_score is None or score > best_score:
-                    best_score = score
-                    best_node = new
-                    if score == ceiling:
-                        # an empty frontier ends the search
-                        heap.clear()
-                        break
+                best_score = new[0] - length
+                best_node = new
+                if best_score == ceiling:
+                    # an empty frontier ends the search
+                    heap.clear()
+                    break
             heapq.heappush(heap, (length, next(counter), new))
     if best_score is None:
         # fall back on flipping every remaining negative letter at once; a
@@ -583,6 +611,12 @@ def seifert_matrix_of_closure(b: BraidWord) -> list[list[Fraction]]:
     follow the usual conventions for banded surfaces; they are pinned by
     the determinant and signature fixtures in the test suite.
     """
+    return [[Fraction(x, 2) for x in row] for row in _doubled_seifert_matrix(b)]
+
+
+def _doubled_seifert_matrix(b: BraidWord) -> list[list[int]]:
+    """Twice the Seifert matrix of ``seifert_matrix_of_closure``, whose
+    entries are halves, in integers."""
     cols: dict[int, list[tuple[int, int]]] = {}
     for t, x in enumerate(b.letters):
         cols.setdefault(abs(x), []).append((t, 1 if x > 0 else -1))
@@ -591,84 +625,80 @@ def seifert_matrix_of_closure(b: BraidWord) -> list[list[Fraction]]:
         for (t1, s1), (t2, s2) in zip(occ, occ[1:]):
             loops.append((i, t1, t2, s1, s2))
     m = len(loops)
-    v = [[Fraction(0) for _ in range(m)] for _ in range(m)]
+    v = [[0] * m for _ in range(m)]
     for a in range(m):
         i, t1, t2, s1, s2 = loops[a]
-        v[a][a] = Fraction(-(s1 + s2), 2)
+        v[a][a] = -(s1 + s2)
         for bidx in range(a + 1, m):
             j, u1, u2, r1, r2 = loops[bidx]
             if j == i and u1 == t2:
                 # consecutive loops sharing the middle band
                 if s2 > 0:
-                    v[a][bidx], v[bidx][a] = Fraction(1), Fraction(0)
+                    v[a][bidx] = 2
                 else:
-                    v[a][bidx], v[bidx][a] = Fraction(0), Fraction(-1)
+                    v[bidx][a] = -2
             # loops are listed by ascending column, so a later loop sits in
             # column i or i + 1, never i - 1
             elif j == i + 1:
                 if t1 < u1 < t2 < u2:
-                    v[a][bidx], v[bidx][a] = Fraction(1), Fraction(0)
+                    v[a][bidx] = 2
                 elif u1 < t1 < u2 < t2:
-                    v[a][bidx], v[bidx][a] = Fraction(0), Fraction(-1)
+                    v[bidx][a] = -2
     return v
 
 
-def _seifert_reduction(b: BraidWord) -> tuple[int, int, int, Fraction]:
-    """(positives, negatives, zeros, product of the nonzero pivots) of the
-    symmetrized Seifert form V + V^T by congruence reduction over Q.
+def _seifert_reduction(b: BraidWord) -> tuple[int, int, int, int]:
+    """(positives, negatives, zeros, determinant) of the symmetrized Seifert
+    form V + V^T, by fraction-free symmetric (Bareiss) elimination on its
+    integer matrix.
 
-    Every step adds a multiple of one row and the same multiple of the
-    matching column to another row and column, a congruence of determinant
-    1, so when no zero block is left the pivot product is det(V + V^T).
+    Each pivot is a nonzero diagonal entry d of the open block.  Every other
+    open entry becomes (d m[a][c] - m[a][p] m[p][c]) // prev, where prev is
+    the pivot before, 1 at first.  The entries are then the minors of the
+    form bordered by the pivots so far, d is the leading minor of the pivots
+    and the rational pivot is d / prev: it counts as positive when d and
+    prev have the same sign, and the last d is det(V + V^T) when no zero
+    block is left.  Where the open block has a zero diagonal but a nonzero
+    pair, adding one open row and column to another is a unimodular
+    congruence of the whole form, which keeps the pivot minors and leaves
+    the open entries minors of a congruent integer matrix, so every
+    division stays exact.
     """
-    v = seifert_matrix_of_closure(b)
+    v = _doubled_seifert_matrix(b)
     n = len(v)
-    m = [[v[a][c] + v[c][a] for c in range(n)] for a in range(n)]
+    m = [[(v[a][c] + v[c][a]) // 2 for c in range(n)] for a in range(n)]
     pos = neg = zero = 0
-    det = Fraction(1)
+    prev = 1
     idx = list(range(n))
     while idx:
-        # find a nonzero diagonal entry among the remaining rows
-        piv = None
-        for a in idx:
-            if m[a][a] != 0:
-                piv = a
-                break
+        piv = next((a for a in idx if m[a][a]), None)
         if piv is None:
-            # look for an off-diagonal nonzero pair: contributes (+1, -1)
-            hot = None
-            for a in idx:
-                for bidx in idx:
-                    if a != bidx and m[a][bidx] != 0:
-                        hot = (a, bidx)
-                        break
-                if hot:
-                    break
+            # an off-diagonal nonzero pair contributes (+1, -1)
+            hot = next(((a, c) for a in idx for c in idx if a != c and m[a][c]), None)
             if hot is None:
                 zero += len(idx)
                 break
             a, bb = hot
             # row/col addition turns the hyperbolic pair into +/- diagonal
-            for c in range(n):
+            for c in idx:
                 m[a][c] += m[bb][c]
-            for r in range(n):
+            for r in idx:
                 m[r][a] += m[r][bb]
             continue
         d = m[piv][piv]
-        if d > 0:
+        if (d > 0) == (prev > 0):
             pos += 1
         else:
             neg += 1
-        det *= d
         idx.remove(piv)
+        row_p = m[piv]
         for a in idx:
-            f = m[a][piv] / d
-            if f != 0:
-                for c in range(n):
-                    m[a][c] -= f * m[piv][c]
-                for r in range(n):
-                    m[r][a] -= f * m[r][piv]
-    return pos, neg, zero, det
+            row = m[a]
+            f = row[piv]
+            for c in idx:
+                row[c] = (d * row[c] - f * row_p[c]) // prev
+        prev = d
+    return pos, neg, zero, prev
 
 
 def _surface_pieces(b: BraidWord) -> int:
@@ -693,8 +723,7 @@ def seifert_invariants(b: BraidWord) -> tuple[int, int, int]:
     extra_pieces = _surface_pieces(b) - 1
     if zero or extra_pieces:
         return pos - neg, zero + extra_pieces, 0
-    assert det.denominator == 1
-    return pos - neg, 0, abs(int(det))
+    return pos - neg, 0, abs(det)
 
 
 def signature_and_nullity(b: BraidWord) -> tuple[int, int]:

@@ -4,11 +4,14 @@ None of these is used by a command: each one reaches a known answer by a
 second way (reflecting a diagram, reversing one component, evaluating the
 skein polynomial at a point, following each component's strands on its
 own, rewriting braid words letter by letter, acting on the free group,
-orienting PD input by local rules, scanning text one character at a
-time) so that a test can compare the two.
+eliminating the Seifert form over the rationals, orienting PD input by
+local rules, scanning text one character at a time) so that a test can
+compare the two.
 """
 
-from cbound.braids import BraidWord
+from fractions import Fraction
+
+from cbound.braids import BraidWord, seifert_matrix_of_closure
 from cbound.diagrams import Crossing, Diagram, DiagramError, _component_of_arc, walk_components
 from cbound.homfly import LaurentPoly2
 from cbound.notation import _SYMBOLS, ParseError
@@ -196,6 +199,57 @@ def reference_neighbors(word: tuple[int, ...], strands: int):
                 i, j = abs(a), abs(b)
                 repl = (new[0] * j, new[1] * i, new[2] * j)
                 yield ("relation", strands, word[:t] + repl + word[t + 3 :])
+
+
+# -- the Seifert form's congruence reduction over Q ---------------------------
+
+
+def fraction_seifert_reduction(b: BraidWord) -> tuple[int, int, int, Fraction]:
+    """(positives, negatives, zeros, product of the nonzero pivots) of
+    V + V^T, by congruence reduction with exact fractions, as the program
+    computed it before its fraction-free elimination.  That code also
+    updated the closed rows and columns, which nothing reads; here only
+    the open block is updated.
+
+    A nonzero diagonal entry of the open block is the next pivot, and its
+    sign alone counts it; each other open entry loses its pivot-row
+    multiple.  With a zero diagonal, an open pair (a, b) with a nonzero
+    entry is turned into a diagonal one by adding row and column b to row
+    and column a.  Every step has determinant 1, so with no zero block the
+    pivot product is det(V + V^T).
+    """
+    v = seifert_matrix_of_closure(b)
+    n = len(v)
+    m = [[v[a][c] + v[c][a] for c in range(n)] for a in range(n)]
+    pos = neg = zero = 0
+    det = Fraction(1)
+    idx = list(range(n))
+    while idx:
+        piv = next((a for a in idx if m[a][a] != 0), None)
+        if piv is None:
+            hot = next(((a, c) for a in idx for c in idx if a != c and m[a][c] != 0), None)
+            if hot is None:
+                zero += len(idx)
+                break
+            a, bb = hot
+            for c in idx:
+                m[a][c] += m[bb][c]
+            for r in idx:
+                m[r][a] += m[r][bb]
+            continue
+        d = m[piv][piv]
+        if d > 0:
+            pos += 1
+        else:
+            neg += 1
+        det *= d
+        idx.remove(piv)
+        for a in idx:
+            f = m[a][piv] / d
+            if f != 0:
+                for c in idx:
+                    m[a][c] -= f * m[piv][c]
+    return pos, neg, zero, det
 
 
 # -- braid equality by Artin's action on the free group ----------------------
