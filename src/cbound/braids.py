@@ -453,7 +453,9 @@ class ChiSearchResult:
     explored: int = 0
 
 
-def chi_minus_lower_bound(b: BraidWord, budget: int = DEFAULT_SEARCH_BUDGET) -> ChiSearchResult:
+def chi_minus_lower_bound(
+    b: BraidWord, budget: int = DEFAULT_SEARCH_BUDGET, *, seifert: tuple[int, int, int] | None = None
+) -> ChiSearchResult:
     """Best provable lower bound for the maximal Euler characteristic of a
     surface with negative double points bounded by the closure.
 
@@ -464,13 +466,26 @@ def chi_minus_lower_bound(b: BraidWord, budget: int = DEFAULT_SEARCH_BUDGET) -> 
     word length therefore yields sound bounds; ``witness`` lists the move
     sequence reaching the best terminal found.
 
-    The search stops as soon as its best score equals the component count
-    mu of the closure, a ceiling no surface can beat (each piece of a
-    surface has Euler characteristic at most its number of boundary
-    components), so ``truncated`` is false there.  The stop cannot change
-    the score or the witness: the best terminal is replaced only by a
-    strictly greater score, and nothing scores above mu; only ``explored``
-    falls.
+    The search stops as soon as its best score equals a ceiling that no
+    reachable positive word can beat, so ``truncated`` is false there.  The
+    ceiling is c = min(mu, 1 + sigma + nu), where mu is the component count
+    of the closure and sigma and nu are its signature and nullity
+    (``seifert``, the ``seifert_invariants`` triple of ``b``, computed here
+    when it is not given; positive braids have sigma < 0).  No surface
+    beats mu: each piece of a surface has Euler characteristic at most its
+    number of boundary components.  A reached positive word p of length l
+    on s strands scores s - l, the Euler characteristic of its banded
+    surface, so by Murasugi's bound s - l <= chi_s(p) <= 1 - |sigma(p)| +
+    nu(p) <= 1 + sigma(p) + nu(p).  A flip is a crossing change from
+    negative to positive: it changes the symmetrized Seifert form by a
+    negative semidefinite term of rank one, so sigma + nu never rises
+    (Murasugi, Trans. AMS 117, 1965), and every other move is an isotopy;
+    so sigma(p) + nu(p) is at most sigma + nu of the start.  Every score
+    s - l is congruent to mu mod 2, and so is c: on a banded surface of P
+    pieces the form has l - s + P loops, so sigma + nu = pos - neg + zero
+    + P - 1 is congruent to l - s - 1.  The stop cannot change the score
+    or the witness: the best terminal is replaced only by a strictly
+    greater score, and nothing scores above c; only ``explored`` falls.
 
     The search also cuts every word that cannot beat the best score so far.
     A word on s strands with l letters, k of them negative, reaches no
@@ -525,6 +540,8 @@ def chi_minus_lower_bound(b: BraidWord, budget: int = DEFAULT_SEARCH_BUDGET) -> 
         best_score = start.strands - len(start.letters)
         best_node = start_node
     else:
+        sig, nul, _ = seifert or seifert_invariants(start)
+        ceiling = min(ceiling, 1 + sig + nul)
         heap.append((len(start.letters), next(counter), start_node))
     spent = explored = 0
     truncated = False

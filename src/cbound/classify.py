@@ -211,7 +211,7 @@ class _Row:
         tag = frozenset("g") if (mu >= 2 and knotted) else frozenset()
         self.s_hi.note(tag, eligible, "at most %d components can bound disks" % eligible)
 
-        self.search = chi_minus_lower_bound(word, search_budget)
+        self.search = chi_minus_lower_bound(word, search_budget, seifert=seifert_of(word))
         try:
             verify_witness(word, self.search)
         except BraidError as e:

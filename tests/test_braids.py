@@ -356,8 +356,9 @@ def test_chi_search_matches_pinned_results(fixtures_dir):
     # score and witness were pinned before the tuple rewrite; explored and
     # truncated were re-pinned when the search learned to stop at the
     # component count, which only lowers explored and clears truncated, and
-    # explored again when it stopped exploring a positive start word and
-    # when it learned to cut words that cannot beat the best score
+    # explored again when it stopped exploring a positive start word, when
+    # it learned to cut words that cannot beat the best score and when it
+    # learned to stop at the signature ceiling
     pinned = json.loads((fixtures_dir / "chi_search.json").read_text())
     for case in pinned["cases"]:
         r = chi_minus_lower_bound(parse_braid(case["word"]), pinned["budget"])
@@ -386,13 +387,19 @@ def reference_chi_search(b, budget, ceiling=False, cut=False):
     Without ``ceiling`` and ``cut`` it runs as the program did before it
     stopped at the component count: it explores until its frontier or
     budget runs out.  With ``ceiling`` it stops where the program does: at
-    the first score equal to the component count, and before exploring a
-    start word that is positive after free reduction.  With ``cut`` it
-    drops, as the program does, every popped or new word whose ``reach``
-    is at most the best score so far."""
+    the first score equal to min(mu, 1 + sigma + nu) rounded down to the
+    parity of mu, with sigma and nu from the reduction over Q, and before
+    exploring a start word that is positive after free reduction.  With
+    ``cut`` it drops, as the program does, every popped or new word whose
+    ``reach`` is at most the best score so far."""
     start = reduce_word(b)
     start_key = (start.strands, start.letters)
-    stop = component_count(start) if ceiling else None
+    stop = None
+    if ceiling:
+        mu = component_count(start)
+        sig, nul = reference_signature_and_nullity(start)
+        stop = min(mu, 1 + sig + nul)
+        stop -= (mu - stop) % 2
     heap = []
     counter = itertools.count()
     parents = {start_key: None}
@@ -474,27 +481,30 @@ def test_chi_search_matches_reference_on_seeded_words():
     assert cleared >= 1
 
 
+def freely_reduced_word(rng):
+    """3 or 4 strands, 7 to 12 letters, freely reduced, so that the search
+    starts from the whole word."""
+    n, length, word = rng.randint(3, 4), rng.randint(7, 12), []
+    while len(word) < length:
+        x = rng.choice([1, -1]) * rng.randint(1, n - 1)
+        if not word or word[-1] != -x:
+            word.append(x)
+    return BraidWord(n, tuple(word))
+
+
 def test_chi_search_equals_the_reference_with_the_ceiling_stop():
     # the sign-bitmask search explores the same nodes in the same order as
     # the search on letter tuples, so every field agrees, explored included
     rng = random.Random(1507)
-    words = []
-    for _ in range(420):
-        # freely reduced, so that the search starts from the whole word
-        n, length, word = rng.randint(3, 4), rng.randint(7, 12), []
-        while len(word) < length:
-            x = rng.choice([1, -1]) * rng.randint(1, n - 1)
-            if not word or word[-1] != -x:
-                word.append(x)
-        words.append(BraidWord(n, tuple(word)))
+    words = [freely_reduced_word(rng) for _ in range(420)]
     words.append(BraidWord(300, (-299, 298, -299, 297, -298, 299, -297)))
     truncated = 0
     for b in words:
         got = chi_minus_lower_bound(b, 2000)
         assert got == reference_chi_search(b, 2000, ceiling=True, cut=True), b
         truncated += got.truncated
-    # 78 of the 421 searches run out of budget
-    assert truncated >= 70
+    # 50 of the 421 searches run out of budget
+    assert truncated >= 45
 
 
 def test_chi_search_stops_at_the_component_count():
@@ -505,6 +515,69 @@ def test_chi_search_stops_at_the_component_count():
     r = chi_minus_lower_bound(BraidWord(2, (-1,)), 1)
     assert (r.score, r.truncated, r.explored) == (1, False, 1)
     assert reference_chi_search(BraidWord(2, (-1,)), 1).truncated
+
+
+def signature_ceiling(b):
+    """min(mu, 1 + sigma + nu), rounded down to the parity of mu."""
+    mu = component_count(b)
+    sig, nul, _ = seifert_invariants(b)
+    c = min(mu, 1 + sig + nul)
+    return c - (mu - c) % 2
+
+
+def test_one_plus_signature_plus_nullity_has_the_parity_of_the_component_count():
+    # so the program's ceiling min(mu, 1 + sigma + nu) needs no rounding
+    rng = random.Random(2117)
+    for _ in range(5000):
+        b = random_word(rng, 7, 16)
+        sig, nul, _ = seifert_invariants(b)
+        assert (1 + sig + nul - component_count(b)) % 2 == 0, b
+
+
+def mu_stop_only(b, budget):
+    """The search with the component count as its only stop: a triple
+    whose 1 + sigma + nu exceeds the strand count leaves mu the ceiling."""
+    return chi_minus_lower_bound(b, budget, seifert=(b.strands, 0, 0))
+
+
+def test_no_completed_search_scores_above_the_signature_ceiling():
+    rng = random.Random(2111)
+    completed = met = 0
+    for _ in range(3000):
+        n = rng.randint(2, 5)
+        b = BraidWord(n, tuple(rng.choice([1, -1]) * rng.randint(1, n - 1) for _ in range(rng.randint(0, 14))))
+        r = mu_stop_only(b, 500)
+        if r.truncated:
+            continue
+        c = signature_ceiling(b)
+        assert r.score <= c, b
+        completed += 1
+        met += r.score == c
+    # 2,761 searches complete, and 2,717 of them meet the ceiling exactly
+    assert completed >= 2700 and met >= 2650
+
+
+def test_the_signature_ceiling_keeps_score_and_witness():
+    rng = random.Random(2113)
+    cleared = fell = 0
+    for _ in range(400):
+        b = freely_reduced_word(rng)
+        got, mu_only = chi_minus_lower_bound(b, 2000), mu_stop_only(b, 2000)
+        assert (got.score, got.witness) == (mu_only.score, mu_only.witness), b
+        assert got.truncated <= mu_only.truncated and got.explored <= mu_only.explored, b
+        cleared += mu_only.truncated and not got.truncated
+        fell += got.explored < mu_only.explored
+    # 25 truncations clear and 88 searches explore fewer nodes
+    assert cleared >= 20 and fell >= 80
+
+
+def test_the_signature_ceiling_is_computed_when_not_given():
+    b = parse_braid("BR[4,{1,3,-1,-1,-2,1,1,3,2}]")
+    assert signature_ceiling(b) == -1 < component_count(b)
+    r = chi_minus_lower_bound(b, 2000)
+    assert r == chi_minus_lower_bound(b, 2000, seifert=seifert_invariants(b))
+    assert (r.score, r.truncated, r.explored) == (-1, False, 287)
+    assert mu_stop_only(b, 2000).truncated
 
 
 def test_chi_search_does_not_explore_a_positive_start_word():

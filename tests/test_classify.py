@@ -284,8 +284,8 @@ def test_a_witness_that_does_not_replay_is_rejected(monkeypatch):
 
     real = cbound.classify.chi_minus_lower_bound
 
-    def inflated(b, budget):
-        r = real(b, budget)
+    def inflated(b, budget, **kwargs):
+        r = real(b, budget, **kwargs)
         return replace(r, score=r.score + 1)
 
     monkeypatch.setattr(cbound.classify, "chi_minus_lower_bound", inflated)

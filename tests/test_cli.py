@@ -77,12 +77,33 @@ def test_chi_budget_warning_names_the_budget_and_the_ceiling(capsys):
 def test_chi_truncated_golden_warns_with_its_score_and_ceiling(capsys):
     # the witness of fixtures/chi-truncated.machine.out uses every move
     # kind; the search runs out before it reaches the ceiling
-    code, out, err = run(capsys, "chi", "BR[4,{1,3,-1,-1,-2,1,1,3,2}]", "--machine", "--search-budget", "2000")
+    code, out, err = run(capsys, "chi", "BR[4,{-1,-3,2,2,1,1,-2,-3,-2,-2,1,2}]", "--machine", "--search-budget", "2000")
     assert code == 0 and out.endswith("search.truncated=yes\n")
     assert {line.split("=")[1].split()[0] for line in out.splitlines() if line.startswith("witness.")} == {
         "flip", "reduce", "destab", "rotate", "commute", "relation"}
     assert err == ("warning: search budget of 2000 nodes ran out after 2000 explored, "
-                   "at chi_s^- >= -1 (ceiling 1); lower bound may be slack\n")
+                   "at chi_s^- >= 0 (ceiling 2); lower bound may be slack\n")
+
+
+def test_chi_search_that_stops_at_the_signature_ceiling_completes_in_budget(capsys):
+    # this word ran out of a budget of 2000 before the search stopped at
+    # min(mu, 1 + sigma + nu) = -1, here below mu = 1; score and witness
+    # are those it had then
+    code, out, err = run(capsys, "chi", "BR[4,{1,3,-1,-1,-2,1,1,3,2}]", "--machine", "--search-budget", "2000")
+    assert code == 0 and err == ""
+    assert out == (
+        "chi_s.lo=-5\nchi_s.hi=-1\nchi_s_minus.lo=-1\nchi_s_minus.hi=1\n"
+        "witness.0=commute BR[4, {3, 1, -1, -1, -2, 1, 1, 3, 2}]\n"
+        "witness.1=reduce BR[4, {3, -1, -2, 1, 1, 3, 2}]\n"
+        "witness.2=rotate BR[4, {-1, -2, 1, 1, 3, 2, 3}]\n"
+        "witness.3=relation BR[4, {-1, -2, 1, 1, 2, 3, 2}]\n"
+        "witness.4=destab BR[3, {-1, -2, 1, 1, 2, 2}]\n"
+        "witness.5=relation BR[3, {2, -1, -2, 1, 2, 2}]\n"
+        "witness.6=relation BR[3, {2, 2, -1, -2, 2, 2}]\n"
+        "witness.7=reduce BR[3, {2, 2, -1, 2}]\n"
+        "witness.8=flip BR[3, {2, 2, 1, 2}]\n"
+        "search.truncated=no\n"
+    )
 
 
 def test_chi_search_that_cuts_what_cannot_beat_its_best_completes_in_budget(capsys):
@@ -334,7 +355,7 @@ def test_missing_file_exit_code(capsys):
                  id="qp-verify-machine"),
     pytest.param(["chi", "BR[3,{1,-2,-1,-1,-2}]"], "chi.out", id="chi"),
     pytest.param(["chi", "BR[3,{1,-2,-1,-1,-2}]", "--machine"], "chi.machine.out", id="chi-machine"),
-    pytest.param(["chi", "BR[4,{1,3,-1,-1,-2,1,1,3,2}]", "--machine", "--search-budget", "2000"],
+    pytest.param(["chi", "BR[4,{-1,-3,2,2,1,1,-2,-3,-2,-2,1,2}]", "--machine", "--search-budget", "2000"],
                  "chi-truncated.machine.out", id="chi-truncated-machine"),
     pytest.param(["qp-obstruct", "BR[3,{1,-2,1,-2,1}]"], "qp-obstruct.out", id="qp-obstruct"),
     pytest.param(["qp-obstruct", "BR[3,{1,-2,1,-2,1}]", "--machine"], "qp-obstruct.machine.out",
