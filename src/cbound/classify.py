@@ -3,11 +3,13 @@
 Builds two-sided bounds for the slice Euler characteristic and its
 reversed-mirror variant, then runs a monotone fixpoint of membership
 rules for the three nested link classes (quasipositive, strong boundary,
-boundary).  Seeding computes: each record's invariants, its seed bounds
-and its chi search are computed once, when its row is built.  The
-fixpoint propagates: its passes only move bounds between related rows
-and derive verdicts.  Every yes/no cell carries derivation traces, and a
-report compares the whole ledger against expected table fixtures.
+boundary).  Seeding computes: each record's invariants, its seed bounds,
+its chi search and its certified verdicts (axioms and the certificate's
+``Q yes``) are computed once, when its row is built.  The fixpoint only
+propagates: its passes move bounds between related rows and derive
+verdicts from the ones already there.  Every yes/no cell carries
+derivation traces, and a report compares the whole ledger against
+expected table fixtures.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from .braids import (
 )
 from .diagrams import zero_linking_sublinks
 from .homfly import DEFAULT_SKEIN_BUDGET, LaurentPoly2, homfly_braid, unlink_poly, fwm_obstruction
-from .notation import ParseError, line_words, parse_braid
+from .notation import ParseError, line_words, parse_braid, render_braid
 
 CLASSES = ("Q", "SB", "B")
 _VERDICTS = ("yes", "no")
@@ -67,7 +69,8 @@ class CellExpectation:
 @dataclass
 class LinkRecord:
     """One knowledge-base row: a link given by a braid word plus declared
-    structure (mirror partner, sum decomposition, certificates, axioms)."""
+    structure (mirror partner, sum decomposition, certificates, axioms).
+    A certificate is taken as already checked: ``parse_kb`` checks it."""
 
     name: str
     braid: BraidWord
@@ -165,11 +168,12 @@ class _Row:
 
     The constructor computes everything the record contributes on its own:
     the components with their own words and their linking (one
-    ``closure_components`` call), the polynomial, the seed bounds and the
-    chi search.  ``poly_of`` and ``seifert_of`` are the run's memo
-    functions, shared by all rows: a knot's only component word is the
-    record's own word, and a trefoil component recurs in several links.
-    The fixpoint passes then only propagate bounds and derive verdicts.
+    ``closure_components`` call), the polynomial, the seed bounds, the
+    chi search and the certified verdicts: the record's axioms, then its
+    certificate's ``Q yes``.  ``poly_of`` and ``seifert_of`` are the run's
+    memo functions, shared by all rows: a knot's only component word is
+    the record's own word, and a trefoil component recurs in several
+    links.  The fixpoint passes then only propagate bounds and verdicts.
     """
 
     def __init__(
@@ -223,6 +227,11 @@ class _Row:
             why = "braided surface from the factorization is optimal"
             for b in (self.s_lo, self.s_hi, self.m_lo, self.m_hi):
                 b.note(frozenset(), v, why)
+        for ax in rec.axioms:
+            self.derive(ax.cls, ax.verdict, frozenset(ax.letter), "axiom",
+                        "certified construction, cited as (%s)" % ax.letter)
+        if rec.certificate is not None:
+            self.derive("Q", "yes", frozenset(), "certificate", "verified quasipositive factorization")
 
     @functools.cached_property
     def linked_throughout(self) -> bool:
@@ -260,6 +269,11 @@ def fmt_letters(letters: frozenset) -> str:
 
 
 # -- knowledge-base parsing --------------------------------------------------
+
+
+def certificate_holds(braid: BraidWord, fac: QPFactorization) -> bool:
+    """Whether the factorization multiplies out to the braid."""
+    return braid_equal(expand_qp(fac), braid)
 
 
 def parse_certificate(strands: int, text: str) -> QPFactorization:
@@ -335,7 +349,10 @@ def parse_kb(text: str) -> list[LinkRecord]:
             elif key == "cert":
                 if "braid" not in cur:
                     raise ClassifyError("cert must follow the braid line")
-                cur["certificate"] = parse_certificate(cur["braid"].strands, " ".join(args))
+                cur["certificate"] = fac = parse_certificate(cur["braid"].strands, " ".join(args))
+                if not certificate_holds(cur["braid"], fac):
+                    raise ClassifyError("certificate multiplies out to %s, not to the braid %s"
+                                        % (render_braid(expand_qp(fac)), render_braid(cur["braid"])))
             elif key in ("invertible", "outer"):
                 if args not in (["yes"], ["no"]):
                     raise ClassifyError("%s wants exactly yes or no, got %r" % (key, " ".join(args)))
@@ -385,23 +402,6 @@ def _validate_records(records: list[LinkRecord]):
         graphlib.TopologicalSorter(refs).prepare()
     except graphlib.CycleError as exc:
         raise ClassifyError("cyclic relation through %s" % exc.args[1][0]) from None
-
-
-def verify_certificates(records: list[LinkRecord]) -> list[str]:
-    """Check each stored factorization against its braid word.  Returns
-    human-readable failure messages; callers abort before rule application
-    when any come back."""
-    bad = []
-    for r in records:
-        if r.certificate is None:
-            continue
-        got = expand_qp(r.certificate)
-        if got.strands != r.braid.strands or not braid_equal(got, r.braid):
-            bad.append(
-                "certificate of %s expands to %r which is not the declared word %r"
-                % (r.name, got.letters, r.braid.letters)
-            )
-    return bad
 
 
 # -- the engine ---------------------------------------------------------------
@@ -464,20 +464,9 @@ def _chi_pass(rows: dict[str, _Row]) -> bool:
     return changed
 
 
-def _membership_pass(rows: dict[str, _Row], use_axioms: bool) -> bool:
+def _membership_pass(rows: dict[str, _Row]) -> bool:
     changed = False
-    order = list(rows.values())
-    for row in order:
-        rec = row.rec
-        if use_axioms:
-            for ax in rec.axioms:
-                changed |= row.derive(
-                    ax.cls, ax.verdict, frozenset(ax.letter), "axiom", "certified construction, cited as (%s)" % ax.letter
-                )
-        if rec.certificate is not None:
-            changed |= row.derive("Q", "yes", frozenset(), "certificate", "verified quasipositive factorization")
-
-    for row in order:
+    for row in rows.values():
         rec = row.rec
         # inclusion chain, both directions
         if row.verdict("Q") == "yes":
@@ -571,23 +560,20 @@ def apply_rules(
     *,
     skein_budget: int = DEFAULT_SKEIN_BUDGET,
     search_budget: int = DEFAULT_SEARCH_BUDGET,
-    use_axioms: bool = True,
 ) -> Ledger:
     """Run the bound assembly and the membership fixpoint over the records.
 
-    Raises ClassifyError on certificate failures, contradictory cells or
-    clashing bounds; those are data bugs, not expected outcomes.
+    Each certificate is taken as already checked (``parse_kb`` checks it).
+    Raises ClassifyError on contradictory cells or clashing bounds; those
+    are data bugs, not expected outcomes.
     """
-    failures = verify_certificates(records)
-    if failures:
-        raise ClassifyError("certificate verification failed:\n  " + "\n  ".join(failures))
     # one skein evaluation and one Seifert reduction per braid word and run
     poly_of = functools.cache(lambda w: homfly_braid(w, skein_budget))
     seifert_of = functools.cache(seifert_invariants)
     rows = {r.name: _Row(r, poly_of, seifert_of, search_budget) for r in records}
     for _ in range(200):
         busy = _chi_pass(rows)
-        busy |= _membership_pass(rows, use_axioms)
+        busy |= _membership_pass(rows)
         if not busy:
             break
     else:
@@ -648,7 +634,7 @@ def axiom_audit(
     cell that goes dark in such a run depends on the dropped axiom, even
     when the axiom lives on a different record and acts through a cascade.
     """
-    pure = apply_rules(records, skein_budget=skein_budget, search_budget=search_budget, use_axioms=False)
+    pure = apply_rules([replace(r, axioms=()) for r in records], skein_budget=skein_budget, search_budget=search_budget)
     targets = []
     for rec in records:
         for cls in CLASSES:

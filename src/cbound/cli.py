@@ -20,11 +20,11 @@ from .classify import (
     LinkRecord,
     apply_rules,
     axiom_audit,
+    certificate_holds,
     describe_ledger,
     parse_certificate,
     parse_kb,
     table1_report,
-    verify_certificates,
 )
 from .diagrams import Diagram, DiagramError, from_braid, linking_matrix
 from .embed import EmbedError, linking_by_id, oval_link_pd, render_svg
@@ -162,7 +162,7 @@ def cmd_qp_verify(args) -> int:
         fac = parse_certificate(braid.strands, rest)
     except ValueError as e:
         raise ClassifyError("certificate line %d: %s" % (lineno, e)) from None
-    ok = not verify_certificates([LinkRecord("input", braid, fac)])
+    ok = certificate_holds(braid, fac)
     chi = qp_chi(fac)
     if args.machine:
         print("verified=%s" % ("yes" if ok else "no"))

@@ -98,6 +98,14 @@ class _Tokens:
             raise ParseError("trailing input %r" % (v or k), l, c)
 
 
+def _decimal(v: str, l: int, c: int) -> int:
+    """A digit run's value; int() refuses one past Python's int-string limit."""
+    try:
+        return int(v)
+    except ValueError:
+        raise ParseError("integer of %d digits is too long" % len(v), l, c) from None
+
+
 def _int(tk: _Tokens) -> int:
     neg = False
     if tk.at("sym", "-"):
@@ -105,8 +113,8 @@ def _int(tk: _Tokens) -> int:
         neg = True
     elif tk.at("sym", "+"):
         tk.next()
-    v, l, c = tk.expect("int")
-    return -int(v) if neg else int(v)
+    v = _decimal(*tk.expect("int"))
+    return -v if neg else v
 
 
 # -- braid words -------------------------------------------------------------
@@ -218,7 +226,7 @@ def _poly_atom(tk: _Tokens) -> LaurentPoly2:
     k, v, l, c = tk.peek()
     if k == "int":
         tk.next()
-        return LaurentPoly2.const(int(v))
+        return LaurentPoly2.const(_decimal(v, l, c))
     if k == "name" and v == "v":
         tk.next()
         return LaurentPoly2.monomial(1, 1, 0)

@@ -18,7 +18,6 @@ from cbound.classify import (
     parse_certificate,
     parse_kb,
     table1_report,
-    verify_certificates,
 )
 
 MINI_KB = """\
@@ -119,11 +118,9 @@ def test_certificate_round_trip():
 
 
 def test_corrupt_certificate_reported_before_rules():
-    recs = parse_kb("link A\nbraid BR[2,{1,1}]\ncert :1\n")
-    msgs = verify_certificates(recs)
-    assert len(msgs) == 1 and "A" in msgs[0]
-    with pytest.raises(ClassifyError, match="certificate verification failed"):
-        apply_rules(recs)
+    with pytest.raises(ClassifyError, match="^kb line 3: certificate multiplies out to BR\\[2, \\{1\\}\\], "
+                                            "not to the braid BR\\[2, \\{1, 1\\}\\]$"):
+        parse_kb("link A\nbraid BR[2,{1,1}]\ncert :1\n")
 
 
 def test_quasipositive_chain():
@@ -254,6 +251,26 @@ def test_one_polynomial_per_word_per_run(fixtures_dir, monkeypatch):
     recs = parse_kb((fixtures_dir / "table1.kb").read_text())
     apply_rules(recs)
     assert len(evaluated) == len(set(evaluated)) == 31
+
+
+def test_one_certificate_check_per_cert_line(fixtures_dir, monkeypatch, capsys):
+    import cbound.classify
+    from cbound.cli import main
+
+    compared = []
+    real = cbound.classify.braid_equal
+
+    def counting(a, b):
+        compared.append(b)
+        return real(a, b)
+
+    monkeypatch.setattr(cbound.classify, "braid_equal", counting)
+    kb = fixtures_dir / "table1.kb"
+    assert main(["table1", str(kb)]) == 0
+    capsys.readouterr()
+    certs = [r.braid for r in parse_kb(kb.read_text()) if r.certificate is not None]
+    assert compared == certs * 2  # ten by main, then ten by the parse_kb above
+    assert len(certs) == 10
 
 
 def test_linked_throughout_is_tested_at_most_once_per_record(fixtures_dir, monkeypatch):

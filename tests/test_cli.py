@@ -173,6 +173,8 @@ def test_qp_verify_reads_comments_after_whitespace(capsys, tmp_path):
     assert run(capsys, "qp-verify", str(cert), "--machine") == (0, "verified=yes\nchi=1\n", "")
 
 
+_HUGE = "9" * 5000  # past the 4300-digit limit of int()
+_TOO_LONG = "integer of 5000 digits is too long"
 _CUT = "line 1, col 1: crossing X[1,2,1,3] is orientation-inconsistent: a closed curve cannot cross another exactly once"
 _LOOP = "line 1, col 1: crossing X[1,2,3,2] is orientation-inconsistent: over strand enters and leaves on the same arc"
 
@@ -226,6 +228,15 @@ _LOOP = "line 1, col 1: crossing X[1,2,3,2] is orientation-inconsistent: over st
      "line 2, col 1: fiber 2 cannot contain other ovals"),
     (["ovals", "realize", "{file}"], "1 0 1 0 0 0.5\n\n2 1 3 0 0 0\n", "line 3, col 1: fiber 2 needs winding +1 or -1, got 3"),
     (["ovals", "realize", "{file}"], "1 0 1 0 0 0.5\n2 1 1 0 0 -0.1\n", "line 2, col 1: oval 2 needs positive radius"),
+    # notation reads no digit run past Python's int-string limit
+    (["homfly", "BR[%s,{1}]" % _HUGE], None, "line 1, col 4: " + _TOO_LONG),
+    (["lk", "BR[%s,{1}]" % _HUGE], None, "line 1, col 4: " + _TOO_LONG),
+    (["chi", "BR[2,{1,-%s}]" % _HUGE], None, "line 1, col 10: " + _TOO_LONG),
+    pytest.param(["table1", "{file}"], "link A\n\nbraid BR[%s,{1}]\n" % _HUGE, "kb line 3: line 1, col 4: " + _TOO_LONG,
+                 id="kb-braid-of-5000-digits"),
+    # classify.parse_kb checks a certificate at its line
+    (["table1", "{file}"], "link A\nbraid BR[2,{1,1}]\ncert :1\n",
+     "kb line 3: certificate multiplies out to BR[2, {1}], not to the braid BR[2, {1, 1}]"),
 ])
 def test_each_input_error_exits_1_with_one_error_line(capsys, tmp_path, argv, text, error):
     if text is not None:

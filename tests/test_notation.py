@@ -94,6 +94,13 @@ def test_poly_constants():
     assert render_poly(parse_poly("0")) == "0"
 
 
+def test_poly_digit_run_past_the_int_string_limit_is_a_positioned_error():
+    huge = "9" * 5000
+    for text, col in (("%s*v" % huge, 1), ("v^%s" % huge, 3), ("v^(-%s)" % huge, 5)):
+        with pytest.raises(ParseError, match="^line 1, col %d: integer of 5000 digits is too long$" % col):
+            parse_poly(text)
+
+
 def test_poly_rejects_unknown_variable():
     with pytest.raises(ParseError):
         parse_poly("2*w^2")
