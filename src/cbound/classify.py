@@ -7,9 +7,9 @@ boundary).  Seeding computes: each record's invariants, its seed bounds,
 its chi search and its certified verdicts (axioms and the certificate's
 ``Q yes``) are computed once, when its row is built.  The fixpoint only
 propagates: its passes move bounds between related rows and derive
-verdicts from the ones already there.  Every yes/no cell carries
-derivation traces, and a report compares the whole ledger against
-expected table fixtures.
+verdicts from the ones already there.  The settled rows are the ledger's
+rows.  Every yes/no cell carries derivation traces, and a report compares
+the whole ledger against expected table fixtures.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from .braids import (
     DEFAULT_SEARCH_BUDGET,
     BraidError,
     BraidWord,
-    ChiSearchResult,
     QPFactorization,
     bennequin_chi,
     braid_equal,
@@ -107,18 +106,8 @@ class CellResult:
 
 
 @dataclass
-class RowResult:
-    name: str
-    chi: ChiBounds
-    cells: dict[str, CellResult]
-    chi_sources: dict[str, dict[frozenset, tuple[int, str]]]
-    search: ChiSearchResult
-    poly: LaurentPoly2
-
-
-@dataclass
 class Ledger:
-    rows: dict[str, RowResult]
+    rows: dict[str, _Row]
 
 
 # -- tagged bound dictionaries ----------------------------------------------
@@ -144,19 +133,14 @@ class _Bound:
     def note(self, tags: frozenset, value: int, why: str) -> bool:
         value = self._clamp(value)
         cur = self.data.get(tags)
-        if cur is not None:
-            better = value > cur[0] if self.kind == "lo" else value < cur[0]
-            if not better:
-                return False
+        if cur is not None and (value <= cur[0] if self.kind == "lo" else value >= cur[0]):
+            return False
         self.data[tags] = (value, why)
         return True
 
     def best(self) -> tuple[int, str]:
         pick = min if self.kind == "hi" else max
         return pick(self.data.values(), key=lambda t: t[0])
-
-    def entries(self):
-        return list(self.data.items())
 
 
 def _is_square(n: int) -> bool:
@@ -174,6 +158,8 @@ class _Row:
     memo functions, shared by all rows: a knot's only component word is
     the record's own word, and a trefoil component recurs in several
     links.  The fixpoint passes then only propagate bounds and verdicts.
+    The settled row is the ledger's row: ``apply_rules`` sets its ``cells``,
+    ``chi`` and ``chi_sources`` (the bound tables' own ``data``) once.
     """
 
     def __init__(
@@ -305,6 +291,15 @@ def _parse_letterset(text: str) -> frozenset[str]:
     return frozenset(_letter(l) for l in text.split(","))
 
 
+def _stated(key: str, text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        digits = text[1:] if text[0] in "+-" else text
+        got = "%d digits, too long" % len(digits) if digits.isdecimal() else repr(text[:20])
+        raise ClassifyError("%s wants an integer or -, got %s" % (key, got)) from None
+
+
 # The LinkRecord field set by each key that a stanza may give only once
 _SINGLE_KEYS = {"braid": "braid", "cert": "certificate", "invertible": "invertible", "outer": "outer",
                 "mirror-of": "mirror_of", "chi_s": "stated_chi_s", "chi_minus": "stated_chi_minus",
@@ -363,7 +358,7 @@ def parse_kb(text: str) -> list[LinkRecord]:
                 if key == "mirror-of":
                     cur["mirror_of"] = args[0]
                 else:
-                    cur["stated_" + key] = None if args[0] == "-" else int(args[0])
+                    cur["stated_" + key] = None if args[0] == "-" else _stated(key, args[0])
             elif key in ("split-sum-of", "connected-sum-of"):
                 cur["sum_kind"] = "split" if key.startswith("split") else "connected"
                 summands = args
@@ -409,7 +404,7 @@ def _validate_records(records: list[LinkRecord]):
 
 def _copy_entries(dst: _Bound, src: _Bound, note: str) -> bool:
     changed = False
-    for tags, (v, why) in src.entries():
+    for tags, (v, why) in src.data.items():
         changed |= dst.note(tags, v, "%s; %s" % (note, why))
     return changed
 
@@ -421,7 +416,7 @@ def _combine(dst: _Bound, parts: list[_Bound], offset: int, extra: frozenset, no
     for b in parts:
         nxt = []
         for tags, acc, whys in combos:
-            for t2, (v2, why2) in b.entries():
+            for t2, (v2, why2) in b.data.items():
                 nxt.append((tags | t2, acc + v2, whys + [why2]))
         combos = nxt
     for tags, total, whys in combos:
@@ -496,8 +491,8 @@ def _membership_pass(rows: dict[str, _Row]) -> bool:
                 )
 
         # strong boundaries have agreeing characteristics
-        for tags_h, (vh, why_h) in row.s_hi.entries():
-            for tags_l, (vl, why_l) in row.m_lo.entries():
+        for tags_h, (vh, why_h) in row.s_hi.data.items():
+            for tags_l, (vl, why_l) in row.m_lo.data.items():
                 if vh < vl:
                     changed |= row.derive(
                         "SB", "no", frozenset("a") | tags_h | tags_l, "chi-gap",
@@ -529,7 +524,7 @@ def _membership_pass(rows: dict[str, _Row]) -> bool:
         if rec.mirror_of and rec.invertible:
             other = rows[rec.mirror_of]
             for a, b in ((row, other), (other, row)):
-                for tags, (v, why) in a.s_hi.entries():
+                for tags, (v, why) in a.s_hi.data.items():
                     if v > 0:
                         continue
                     if a.verdict("SB") == "yes":
@@ -544,7 +539,7 @@ def _membership_pass(rows: dict[str, _Row]) -> bool:
                         )
 
         # braid-index style obstruction from the polynomial
-        for tags, (v, why) in row.s_hi.entries():
+        for tags, (v, why) in row.s_hi.data.items():
             ob = fwm_obstruction(row.poly, v)
             if ob["refuted"]:
                 changed |= row.derive(
@@ -579,33 +574,22 @@ def apply_rules(
     else:
         raise ClassifyError("rule fixpoint failed to settle")
 
-    out: dict[str, RowResult] = {}
-    for name, row in rows.items():
-        cells = {}
-        for cls in CLASSES:
-            v = row.verdict(cls)
-            cells[cls] = CellResult(v, tuple(row.derivs[cls].values()))
-        sl, sh = row.s_lo.best(), row.s_hi.best()
-        ml, mh = row.m_lo.best(), row.m_hi.best()
-        chi = ChiBounds((sl[0], sh[0]), (ml[0], mh[0]))
-        sources = {
-            "chi_s.lo": dict(row.s_lo.data),
-            "chi_s.hi": dict(row.s_hi.data),
-            "chi_s_minus.lo": dict(row.m_lo.data),
-            "chi_s_minus.hi": dict(row.m_hi.data),
-        }
-        out[name] = RowResult(name, chi, cells, sources, row.search, row.poly)
-    _check_chain(out)
-    return Ledger(out)
+    for row in rows.values():
+        row.cells = {cls: CellResult(row.verdict(cls), tuple(row.derivs[cls].values())) for cls in CLASSES}
+        row.chi = ChiBounds((row.s_lo.best()[0], row.s_hi.best()[0]), (row.m_lo.best()[0], row.m_hi.best()[0]))
+        row.chi_sources = {"chi_s.lo": row.s_lo.data, "chi_s.hi": row.s_hi.data,
+                           "chi_s_minus.lo": row.m_lo.data, "chi_s_minus.hi": row.m_hi.data}
+    _check_chain(rows)
+    return Ledger(rows)
 
 
-def _check_chain(rows: dict[str, RowResult]):
+def _check_chain(rows: dict[str, _Row]):
     rank = {"yes": 1, "unknown": 0, "no": -1}
     for r in rows.values():
         q, sb, b = (rank[r.cells[c].verdict] for c in CLASSES)
         if q > sb or sb > b:
             raise ClassifyError("inclusion chain violated for %s: Q=%s SB=%s B=%s"
-                                % (r.name, r.cells["Q"].verdict, r.cells["SB"].verdict, r.cells["B"].verdict))
+                                % (r.rec.name, r.cells["Q"].verdict, r.cells["SB"].verdict, r.cells["B"].verdict))
 
 
 # -- reporting ---------------------------------------------------------------

@@ -37,9 +37,6 @@ class Diagram:
     def total_components(self) -> int:
         return len(self.components) + self.free_loops
 
-    def copy(self) -> "Diagram":
-        return Diagram([c for c in self.crossings], [list(c) for c in self.components], self.free_loops)
-
 
 def _successors(crossings: list[Crossing]) -> dict[int, int]:
     succ: dict[int, int] = {}
@@ -240,7 +237,7 @@ def simplify_diagram(d: Diagram) -> Diagram:
     Only moves that shrink the crossing count are applied, so this always
     terminates; it is a cheap preprocessor, not a full simplifier.
     """
-    cur = d.copy()
+    cur = d
     changed = True
     while changed:
         changed = False

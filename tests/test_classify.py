@@ -184,6 +184,15 @@ def test_a_solo_record_has_its_component_count_as_upper_chi_s_minus():
             assert row.chi.chi_s_minus[1] == component_count(b), (budget, b)
 
 
+def test_chi_ends_are_the_extremes_of_the_rows_own_source_tables(fixtures_dir):
+    # cbound chi prints the ends and the tables they come from
+    table1 = apply_rules(parse_kb((fixtures_dir / "table1.kb").read_text())).rows.values()
+    for row in [*table1, *_solo_rows(0), *_solo_rows(2000)]:
+        for key, (lo, hi) in (("chi_s", row.chi.chi_s), ("chi_s_minus", row.chi.chi_s_minus)):
+            assert lo == max(v for v, _ in row.chi_sources[key + ".lo"].values()), (row.rec.braid, key)
+            assert hi == min(v for v, _ in row.chi_sources[key + ".hi"].values()), (row.rec.braid, key)
+
+
 def test_contradiction_aborts():
     # a certificate proves membership all the way up the chain, so an
     # exclusion axiom on the same record must blow up loudly

@@ -237,6 +237,11 @@ _LOOP = "line 1, col 1: crossing X[1,2,3,2] is orientation-inconsistent: over st
     # classify.parse_kb checks a certificate at its line
     (["table1", "{file}"], "link A\nbraid BR[2,{1,1}]\ncert :1\n",
      "kb line 3: certificate multiplies out to BR[2, {1}], not to the braid BR[2, {1, 1}]"),
+    # classify.parse_kb reads a stated chi value as an integer or -
+    pytest.param(["table1", "{file}"], "link A\nbraid BR[2,{1,1}]\nchi_s 1x\n",
+                 "kb line 3: chi_s wants an integer or -, got '1x'", id="kb-chi_s-not-an-integer"),
+    pytest.param(["table1", "{file}"], "link A\nbraid BR[2,{1,1}]\nchi_s %s\n" % _HUGE,
+                 "kb line 3: chi_s wants an integer or -, got 5000 digits, too long", id="kb-chi_s-of-5000-digits"),
 ])
 def test_each_input_error_exits_1_with_one_error_line(capsys, tmp_path, argv, text, error):
     if text is not None:
@@ -592,6 +597,17 @@ def test_a_mirror_cycle_in_a_kb_is_an_error(capsys, tmp_path):
     code, out, err = run(capsys, "classify", str(kb))
     assert code == 1 and out == ""
     assert err == "error: cyclic relation through A\n"
+
+
+@pytest.mark.parametrize("kb", [
+    pytest.param("link A\nbraid BR[2,{1}]\nmirror-of A\n", id="own-mirror"),
+    pytest.param("link A\nbraid BR[2,{1}]\nsplit-sum-of A B\n\nlink B\nbraid BR[2,{-1}]\n", id="own-summand"),
+])
+def test_a_record_that_names_itself_is_a_cycle(capsys, tmp_path, kb):
+    # the rules read a record's bound tables while they write its partners'
+    # tables, so no record may be its own mirror or summand
+    (tmp_path / "self.kb").write_text(kb)
+    assert run(capsys, "classify", str(tmp_path / "self.kb")) == (1, "", "error: cyclic relation through A\n")
 
 
 def _write_forest(path, parents, windings):

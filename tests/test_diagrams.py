@@ -221,7 +221,7 @@ def reference_remove_crossings(d, kill, joins):
 
 
 def reference_simplify_diagram(d):
-    cur = d.copy()
+    cur = d
     changed = True
     while changed:
         changed = False
