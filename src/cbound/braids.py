@@ -187,71 +187,59 @@ class NormalForm:
     factors: tuple[tuple[int, ...], ...]
 
 
-def _w0(n: int) -> tuple[int, ...]:
-    return tuple(range(n - 1, -1, -1))
-
-
-def _tau(p: tuple[int, ...], n: int) -> tuple[int, ...]:
-    w = _w0(n)
-    return pmul(pmul(w, p), w)
-
-
-def _left_descents(p: tuple[int, ...]) -> set[int]:
+def _descents(p: tuple[int, ...]) -> set[int]:
+    """The i for which p starts with σ_i: its strands from 0-based i-1 and i cross."""
     return {i for i in range(1, len(p)) if p[i - 1] > p[i]}
 
 
-def _right_descents(p: tuple[int, ...]) -> set[int]:
-    return _left_descents(pinv(p))
+def _left_weighted(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Move generators from the front of b to the back of a until b starts
+    only with generators that a ends with; the product stays the same."""
+    while cand := _descents(b) - _descents(pinv(a)):
+        g = _gen_perm(len(a), min(cand))
+        a, b = pmul(a, g), pmul(g, b)
+    return a, b
 
 
 def normal_form(b: BraidWord) -> NormalForm:
     """Garside left-canonical form: ``Delta^d . A_1 ... A_k`` with each
-    factor a permutation and consecutive pairs left-weighted."""
+    factor a permutation, none Delta or the identity, and consecutive pairs
+    left-weighted.
+
+    One pass reads the letters right to left and keeps the suffix read so
+    far in this form.  A letter is one simple factor: σ_i, or Delta σ_i^-1
+    with d lowered by one, since σ_i^-1 = Delta^-1 (Delta σ_i^-1).  Moving
+    it right past Delta^d conjugates it by τ^d, and τ (σ_i <-> σ_{n-i}) is
+    an involution, so only the parity of d counts.  The factor then slides
+    right, one pair at a time: each pair is made left-weighted and what
+    cannot stay left moves on.  Once a pair is already left-weighted, or
+    nothing is left to move, every later pair is as it was.  In a
+    left-weighted sequence Delta can only come first and the identity only
+    last, so a Delta made at the front joins the power and an identity is
+    never kept.
+    """
     n = b.strands
+    delta = tuple(range(n - 1, -1, -1))
     ident = tuple(range(n))
-    w0 = _w0(n)
     d = 0
     factors: list[tuple[int, ...]] = []
-    for x in b.letters:
-        if x > 0:
-            factors.append(_gen_perm(n, x))
-        else:
+    for x in reversed(b.letters):
+        f = _gen_perm(n, n - abs(x) if d % 2 else abs(x))
+        if x < 0:
+            f = pmul(delta, f)
             d -= 1
-            factors = [_tau(f, n) for f in factors]
-            factors.append(pmul(w0, _gen_perm(n, -x)))
-    # left-weighting passes
-    changed = True
-    while changed:
-        changed = False
         t = 0
-        while t < len(factors) - 1:
-            a, bb = factors[t], factors[t + 1]
-            moved = True
-            while moved:
-                moved = False
-                cand = _left_descents(bb) - _right_descents(a)
-                if cand:
-                    i = min(cand)
-                    a = pmul(a, _gen_perm(n, i))
-                    bb = pmul(_gen_perm(n, i), bb)
-                    moved = True
-                    changed = True
-            factors[t], factors[t + 1] = a, bb
+        while f != ident and t < len(factors):
+            a, rest = _left_weighted(f, factors[t])
+            if rest == factors[t]:
+                break
+            factors[t], f = a, rest
             t += 1
-        # absorb full twists, drop identities
-        t = 0
-        while t < len(factors):
-            if factors[t] == w0:
-                d += 1
-                for s in range(t):
-                    factors[s] = _tau(factors[s], n)
-                del factors[t]
-                changed = True
-            elif factors[t] == ident:
-                del factors[t]
-                changed = True
-            else:
-                t += 1
+        if f != ident:
+            factors.insert(t, f)
+        while factors and factors[0] == delta:
+            del factors[0]
+            d += 1
     return NormalForm(n, d, tuple(factors))
 
 

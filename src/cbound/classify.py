@@ -108,6 +108,8 @@ class CellResult:
 @dataclass
 class Ledger:
     rows: dict[str, _Row]
+    skein_budget: int
+    search_budget: int
 
 
 # -- tagged bound dictionaries ----------------------------------------------
@@ -222,7 +224,7 @@ class _Row:
     @functools.cached_property
     def linked_throughout(self) -> bool:
         """Every proper component subset links its complement."""
-        return not zero_linking_sublinks(self.lk)
+        return next(zero_linking_sublinks(self.lk), None) is None
 
     def derive(self, cls: str, verdict: str, letters: frozenset, rule: str, why: str) -> bool:
         key = (verdict, letters)
@@ -580,7 +582,7 @@ def apply_rules(
         row.chi_sources = {"chi_s.lo": row.s_lo.data, "chi_s.hi": row.s_hi.data,
                            "chi_s_minus.lo": row.m_lo.data, "chi_s_minus.hi": row.m_hi.data}
     _check_chain(rows)
-    return Ledger(rows)
+    return Ledger(rows, skein_budget, search_budget)
 
 
 def _check_chain(rows: dict[str, _Row]):
@@ -604,21 +606,17 @@ def _match(cell: CellResult, want: CellExpectation) -> Derivation | None:
     return None
 
 
-def axiom_audit(
-    records: list[LinkRecord],
-    ledger: Ledger,
-    *,
-    skein_budget: int = DEFAULT_SKEIN_BUDGET,
-    search_budget: int = DEFAULT_SEARCH_BUDGET,
-) -> list[tuple[str, str, str, str]]:
+def axiom_audit(records: list[LinkRecord], ledger: Ledger) -> list[tuple[str, str, str, str]]:
     """Cells that the generic rules alone leave undecided, each attributed
     to the axioms it rests on.
 
-    Attribution reruns the fixpoint with one axiom dropped at a time; a
-    cell that goes dark in such a run depends on the dropped axiom, even
-    when the axiom lives on a different record and acts through a cascade.
+    Attribution reruns the fixpoint, at the ledger's budgets, with one
+    axiom dropped at a time; a cell that goes dark in such a run depends on
+    the dropped axiom, even when the axiom lives on a different record and
+    acts through a cascade.
     """
-    pure = apply_rules([replace(r, axioms=()) for r in records], skein_budget=skein_budget, search_budget=search_budget)
+    budgets = {"skein_budget": ledger.skein_budget, "search_budget": ledger.search_budget}
+    pure = apply_rules([replace(r, axioms=()) for r in records], **budgets)
     targets = []
     for rec in records:
         for cls in CLASSES:
@@ -632,7 +630,7 @@ def axiom_audit(
             replace(r, axioms=tuple(a for a in r.axioms if not (r.name == owner and a == dropped)))
             for r in records
         ]
-        partial = apply_rules(ablated, skein_budget=skein_budget, search_budget=search_budget)
+        partial = apply_rules(ablated, **budgets)
         for name, cls, _ in targets:
             if partial.rows[name].cells[cls].verdict == "unknown":
                 needs[(name, cls)].add(dropped.letter)

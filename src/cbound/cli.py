@@ -253,7 +253,7 @@ def cmd_classify(args) -> int:
 def cmd_table1(args) -> int:
     records = parse_kb(_load_text(args.kb))
     ledger = apply_rules(records, skein_budget=args.skein_budget, search_budget=args.search_budget)
-    audit = axiom_audit(records, ledger, skein_budget=args.skein_budget, search_budget=args.search_budget)
+    audit = axiom_audit(records, ledger)
     text, mismatches = table1_report(records, ledger, audit, machine=args.machine)
     print(text)
     return 3 if mismatches else 0

@@ -15,6 +15,7 @@ counterclockwise from the incoming under-strand) maps to records as
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from .braids import BraidWord
@@ -279,14 +280,12 @@ def simplify_diagram(d: Diagram) -> Diagram:
     return cur
 
 
-def zero_linking_sublinks(m: list[list[int]]) -> list[tuple[int, ...]]:
+def zero_linking_sublinks(m: list[list[int]]) -> Iterator[tuple[int, ...]]:
     """Proper nonempty component subsets whose total linking number with
-    the complement vanishes."""
+    the complement vanishes, yielded one at a time."""
     n = len(m)
-    out = []
     for mask in range(1, (1 << n) - 1):
         s = [i for i in range(n) if mask >> i & 1]
         rest = [i for i in range(n) if not mask >> i & 1]
         if sum(m[i][j] for i in s for j in rest) == 0:
-            out.append(tuple(s))
-    return out
+            yield tuple(s)

@@ -3,7 +3,8 @@
 None of these is used by a command: each one reaches a known answer by a
 second way (reflecting a diagram, reversing one component, evaluating the
 skein polynomial at a point, following each component's strands on its
-own, rewriting braid words letter by letter, acting on the free group,
+own, rewriting braid words letter by letter, sweeping Garside factors
+until nothing changes, acting on the free group,
 eliminating the Seifert form over the rationals, orienting PD input by
 local rules, scanning text one character at a time) so that a test can
 compare the two.
@@ -11,7 +12,7 @@ compare the two.
 
 from fractions import Fraction
 
-from cbound.braids import BraidWord, seifert_matrix_of_closure
+from cbound.braids import BraidWord, NormalForm, _gen_perm, pinv, pmul, seifert_matrix_of_closure
 from cbound.diagrams import Crossing, Diagram, DiagramError, _component_of_arc, walk_components
 from cbound.homfly import LaurentPoly2
 from cbound.notation import _SYMBOLS, ParseError
@@ -250,6 +251,77 @@ def fraction_seifert_reduction(b: BraidWord) -> tuple[int, int, int, Fraction]:
                 for c in idx:
                     m[a][c] -= f * m[piv][c]
     return pos, neg, zero, det
+
+
+# -- the Garside normal form by sweeps until stable ---------------------------
+
+
+def _w0(n: int) -> tuple[int, ...]:
+    return tuple(range(n - 1, -1, -1))
+
+
+def _tau(p: tuple[int, ...], n: int) -> tuple[int, ...]:
+    w = _w0(n)
+    return pmul(pmul(w, p), w)
+
+
+def _left_descents(p: tuple[int, ...]) -> set[int]:
+    return {i for i in range(1, len(p)) if p[i - 1] > p[i]}
+
+
+def _right_descents(p: tuple[int, ...]) -> set[int]:
+    return _left_descents(pinv(p))
+
+
+def reference_normal_form(b: BraidWord) -> NormalForm:
+    """Garside left-canonical form: ``Delta^d . A_1 ... A_k`` with each
+    factor a permutation and consecutive pairs left-weighted."""
+    n = b.strands
+    ident = tuple(range(n))
+    w0 = _w0(n)
+    d = 0
+    factors: list[tuple[int, ...]] = []
+    for x in b.letters:
+        if x > 0:
+            factors.append(_gen_perm(n, x))
+        else:
+            d -= 1
+            factors = [_tau(f, n) for f in factors]
+            factors.append(pmul(w0, _gen_perm(n, -x)))
+    # left-weighting passes
+    changed = True
+    while changed:
+        changed = False
+        t = 0
+        while t < len(factors) - 1:
+            a, bb = factors[t], factors[t + 1]
+            moved = True
+            while moved:
+                moved = False
+                cand = _left_descents(bb) - _right_descents(a)
+                if cand:
+                    i = min(cand)
+                    a = pmul(a, _gen_perm(n, i))
+                    bb = pmul(_gen_perm(n, i), bb)
+                    moved = True
+                    changed = True
+            factors[t], factors[t + 1] = a, bb
+            t += 1
+        # absorb full twists, drop identities
+        t = 0
+        while t < len(factors):
+            if factors[t] == w0:
+                d += 1
+                for s in range(t):
+                    factors[s] = _tau(factors[s], n)
+                del factors[t]
+                changed = True
+            elif factors[t] == ident:
+                del factors[t]
+                changed = True
+            else:
+                t += 1
+    return NormalForm(n, d, tuple(factors))
 
 
 # -- braid equality by Artin's action on the free group ----------------------

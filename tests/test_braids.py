@@ -1,5 +1,6 @@
 """Braid word operations, closure invariants, and the chi search."""
 
+import functools
 import heapq
 import itertools
 import json
@@ -17,6 +18,7 @@ from cbound.braids import (
     BraidError,
     BraidWord,
     ChiSearchResult,
+    NormalForm,
     QPFactorization,
     _cancel,
     _free_reduce,
@@ -36,6 +38,8 @@ from cbound.braids import (
     expand_qp,
     mirror,
     murasugi_chi_upper,
+    normal_form,
+    pinv,
     qp_chi,
     reduce_word,
     seifert_invariants,
@@ -49,6 +53,7 @@ from oracles import (
     closure_components_by_sublink,
     fraction_seifert_reduction,
     reference_neighbors,
+    reference_normal_form,
     strand_cycles,
 )
 
@@ -122,6 +127,55 @@ def test_braid_equal_agrees_with_the_artin_action():
         assert braid_equal(a, b) == same, (a, b)
         equal += same
     assert 1600 <= equal < 3200
+
+
+def _delta_word(n):
+    """The half twist (σ_1)(σ_2 σ_1)...(σ_{n-1}...σ_1)."""
+    return tuple(j for k in range(1, n) for j in range(k, 0, -1))
+
+
+@functools.cache
+def _seeded_forms():
+    """5,000 seeded words on 1-6 strands with their normal forms and, where
+    it is known, the form they must have: every fifth word is a power of
+    the half twist, every fifth on two or more strands is up to six random
+    letters, a relator and the inverse of those letters, which cancels to
+    the identity; the rest are random."""
+    rng = random.Random(24)
+    out = []
+    for k in range(5000):
+        n = rng.randint(1, 6)
+        w = tuple(rng.choice((1, -1)) * rng.randint(1, n - 1) for _ in range(rng.randint(0, 20))) if n > 1 else ()
+        want = None
+        if k % 5 == 0:
+            p = rng.randint(-3, 3)
+            w = _delta_word(n) * p if p >= 0 else tuple(-x for x in reversed(_delta_word(n))) * -p
+            want = NormalForm(n, p if n > 1 else 0, ())
+        elif k % 5 == 1 and n > 1:
+            w = w[:6] + rng.choice(_relators(n)) + tuple(-x for x in reversed(w[:6]))
+            want = NormalForm(n, 0, ())
+        b = BraidWord(n, w)
+        out.append((b, normal_form(b), want))
+    return out
+
+
+def test_normal_form_equals_the_sweep_reference():
+    for b, nf, want in _seeded_forms():
+        assert nf == reference_normal_form(b), b
+        assert want is None or nf == want, b
+
+
+def test_normal_form_factors_are_proper_and_left_weighted():
+    def descents(p):
+        return {i for i in range(1, len(p)) if p[i - 1] > p[i]}
+
+    for b, nf, _ in _seeded_forms():
+        n = b.strands
+        for f in nf.factors:
+            assert sorted(f) == list(range(n)), b
+            assert f not in (tuple(range(n)), tuple(range(n - 1, -1, -1))), b
+        for a, c in zip(nf.factors, nf.factors[1:]):
+            assert descents(c) <= descents(pinv(a)), b
 
 
 def test_mirror():

@@ -158,6 +158,16 @@ def test_chi_on_a_positive_word_is_not_truncated(capsys):
     assert "chi_s_minus.lo=-7\nchi_s_minus.hi=1\nsearch.truncated=no\n" in out
 
 
+def test_chi_on_40_strands_with_split_unknots_is_fast(capsys):
+    # a trefoil and 38 split unknots: the linked-throughout test stops at
+    # the first component subset of zero linking instead of listing 2^39
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "chi", "BR[40,{-1,-1,-1}]", "--machine")
+    assert time.perf_counter() - t0 < 5.0
+    assert (code, err) == (0, "")
+    assert out.startswith("chi_s.lo=37\nchi_s.hi=37\n")
+
+
 def test_qp_verify_good_and_bad(capsys, fixtures_dir, tmp_path):
     code, out, _ = run(capsys, "qp-verify", str(fixtures_dir / "qp_wermer.qp"))
     assert code == 0

@@ -151,14 +151,14 @@ def test_zero_linking_sublinks():
     # {0,1} clasp each other but not component 2, so both {2} and {0,1}
     # split off with zero total linking; singletons 0 and 1 do not
     m = [[0, 1, 0], [1, 0, 0], [0, 0, 0]]
-    subs = zero_linking_sublinks(m)
+    subs = list(zero_linking_sublinks(m))
     assert (2,) in subs
     assert (0, 1) in subs
     assert (0,) not in subs
     # proper subsets only
     assert (0, 1, 2) not in subs
     # a single clasp admits none at all
-    assert zero_linking_sublinks([[0, 1], [1, 0]]) == []
+    assert list(zero_linking_sublinks([[0, 1], [1, 0]])) == []
 
 
 def test_simplify_removes_reducible_kinks():
