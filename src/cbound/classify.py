@@ -640,7 +640,7 @@ def axiom_audit(records: list[LinkRecord], ledger: Ledger) -> list[tuple[str, st
 def table1_report(
     records: list[LinkRecord],
     ledger: Ledger,
-    audit: list[tuple[str, str, str, str]] | None = None,
+    audit: list[tuple[str, str, str, str]],
     machine: bool = False,
 ) -> tuple[str, int]:
     """Compare the ledger against the expected cells carried by the records.
@@ -703,15 +703,14 @@ def table1_report(
                     cols.append("%s %s (%s) MISMATCH: derived %s"
                                 % (cls, want.verdict, fmt_letters(want.letters), have))
             lines.append("%-12s %s | %s" % (rec.name, " | ".join(cols), " | ".join(chi_cols)))
-    if audit is not None:
-        if machine:
-            for name, cls, v, letters in audit:
-                lines.append("axiom.%s.%s=%s:%s" % (name, cls, v, letters))
-        else:
-            lines.append("")
-            lines.append("axiom-backed cells (underivable by the generic rules alone):")
-            for name, cls, v, letters in audit:
-                lines.append("  %-12s %s=%s rests on axiom (%s)" % (name, cls, v, letters))
+    if machine:
+        for name, cls, v, letters in audit:
+            lines.append("axiom.%s.%s=%s:%s" % (name, cls, v, letters))
+    else:
+        lines.append("")
+        lines.append("axiom-backed cells (underivable by the generic rules alone):")
+        for name, cls, v, letters in audit:
+            lines.append("  %-12s %s=%s rests on axiom (%s)" % (name, cls, v, letters))
     if machine:
         lines.append("rows=%d" % len(records))
         lines.append("mismatches=%d" % mism)

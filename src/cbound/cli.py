@@ -151,6 +151,8 @@ def cmd_qp_verify(args) -> int:
     for lineno, (key, *rest) in line_words(text):
         if key not in ("braid", "factors"):
             raise ClassifyError("certificate line %d: unknown key %r" % (lineno, key))
+        if key in found:
+            raise ClassifyError("certificate line %d: %s given twice" % (lineno, key))
         found[key] = lineno, " ".join(rest)
     for key in ("braid", "factors"):
         if key not in found:

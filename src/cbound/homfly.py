@@ -32,6 +32,8 @@ every element it writes, in the trace too.
 
 from __future__ import annotations
 
+import math
+
 from .braids import BraidWord, reduce_word
 from .diagrams import Crossing, Diagram, from_braid, remove_crossings, simplify_diagram
 
@@ -336,7 +338,9 @@ def homfly_pd(diag: Diagram, budget: int = DEFAULT_SKEIN_BUDGET) -> LaurentPoly2
 
 
 def unlink_poly(components: int) -> LaurentPoly2:
-    return UNLINK_FACTOR ** (components - 1)
+    # UNLINK_FACTOR ** m = (v^-1 - v)^m z^-m, expanded by the binomial theorem
+    m = components - 1
+    return LaurentPoly2({(2 * k - m, -m): (-1) ** k * math.comb(m, k) for k in range(m + 1)})
 
 
 def fwm_obstruction(p: LaurentPoly2, chi_s_upper: int) -> dict:

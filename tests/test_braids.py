@@ -4,9 +4,11 @@ import functools
 import heapq
 import itertools
 import json
+import os
+import pathlib
 import random
-import time
-import tracemalloc
+import subprocess
+import sys
 from dataclasses import replace
 from fractions import Fraction
 
@@ -56,6 +58,8 @@ from oracles import (
     reference_normal_form,
     strand_cycles,
 )
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 TREFOIL = BraidWord(2, (1, 1, 1))
 FIG8 = BraidWord(3, (-1, 2, -1, 2))
@@ -731,24 +735,44 @@ LONG_WORD = BraidWord(3, (
 ))
 
 
+# Searches LONG_WORD at the default budget in a fresh interpreter and prints
+# what the test checks; ru_maxrss counts KiB on Linux and bytes on macOS
+_SEARCH_LONG_WORD = """
+import json, resource, sys, time
+from cbound.braids import BraidError, BraidWord, chi_minus_lower_bound, verify_witness
+kib = 1 / 1024 if sys.platform == "darwin" else 1
+after_import = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * kib
+word = BraidWord(3, tuple(json.loads(sys.argv[1])))
+started = time.perf_counter()
+r = chi_minus_lower_bound(word)
+seconds = time.perf_counter() - started
+peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * kib
+try:
+    verify_witness(word, r)
+    witness = "verified"
+except BraidError as e:
+    witness = str(e)
+print(json.dumps(dict(truncated=r.truncated, explored=r.explored, seconds=seconds, witness=witness,
+                      after_import_kib=after_import, peak_kib=peak)))
+"""
+
+
 def test_the_default_budget_bounds_the_search_on_a_198_letter_word():
     # under the old node cap this word ran 70 s and took 338 MB; a node of
-    # it costs 13 units, fewer once reductions shorten it.  Under
-    # tracemalloc the search took 14-17 s and peaked at 108 MB on one core of
-    # an Intel Xeon (1.4-1.8 s untraced)
+    # it costs 13 units, fewer once reductions shorten it.  The search runs
+    # in a child without tracemalloc, which slowed it from 1.4-1.8 s to
+    # 14-17 s on one core of an Intel Xeon; there its peak RSS rises about
+    # 102 MiB over the RSS after import
     assert len(LONG_WORD) == 198 and reduce_word(LONG_WORD) == LONG_WORD
-    tracemalloc.start()
-    try:
-        started = time.perf_counter()
-        r = chi_minus_lower_bound(LONG_WORD)
-        seconds = time.perf_counter() - started
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert r.truncated and DEFAULT_SEARCH_BUDGET // 13 <= r.explored <= DEFAULT_SEARCH_BUDGET
-    assert seconds < 60
-    assert peak < 160 * 2**20
-    verify_witness(LONG_WORD, r)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    child = subprocess.run([sys.executable, "-c", _SEARCH_LONG_WORD, json.dumps(LONG_WORD.letters)],
+                           capture_output=True, text=True, env=env, timeout=120)
+    assert child.returncode == 0, child.stderr
+    r = json.loads(child.stdout)
+    assert r["truncated"] and DEFAULT_SEARCH_BUDGET // 13 <= r["explored"] <= DEFAULT_SEARCH_BUDGET
+    assert r["seconds"] < 60
+    assert (r["peak_kib"] - r["after_import_kib"]) * 1024 < 160 * 2**20
+    assert r["witness"] == "verified"
 
 
 def test_the_seifert_invariants_of_the_198_letter_word():

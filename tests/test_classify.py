@@ -205,11 +205,11 @@ def test_expected_letters_must_match_exactly():
     kb = "link A\nbraid BR[2,{1,1}]\ncert :1 :1\nexpect Q no a\nchi_s 5\n"
     recs = parse_kb(kb)
     led = apply_rules(recs)
-    text, mismatches = table1_report(recs, led)
+    text, mismatches = table1_report(recs, led, [])
     assert mismatches == 2
     assert "MISMATCH" in text
     # machine mode carries the same verdicts in greppable form
-    mt, mm = table1_report(recs, led, machine=True)
+    mt, mm = table1_report(recs, led, [], machine=True)
     assert mm == 2
     assert "row.A.Q.status=mismatch" in mt
     assert "mismatches=2" in mt
@@ -224,7 +224,7 @@ def test_full_kb_is_clean(fixtures_dir):
     recs = parse_kb((fixtures_dir / "table1.kb").read_text())
     assert len(recs) == 29
     led = apply_rules(recs)
-    text, mismatches = table1_report(recs, led)
+    text, mismatches = table1_report(recs, led, [])
     assert mismatches == 0
     assert "29 rows, 0 mismatches" in text
 
@@ -341,7 +341,7 @@ def test_describe_ledger_mentions_every_record(fixtures_dir):
 def test_empty_kb():
     led = apply_rules([])
     assert led.rows == {}
-    text, mismatches = table1_report([], led)
+    text, mismatches = table1_report([], led, [])
     assert mismatches == 0
 
 

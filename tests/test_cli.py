@@ -3,6 +3,7 @@
 import os
 import pathlib
 import random
+import shlex
 import subprocess
 import sys
 import time
@@ -14,7 +15,8 @@ from cbound.cli import build_parser, main
 from cbound.diagrams import from_braid
 from cbound.notation import render_pd
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 
 WERMER_BRAID = "BR[3,{1,2,1,1,2,1}]"
 
@@ -252,6 +254,11 @@ _LOOP = "line 1, col 1: crossing X[1,2,3,2] is orientation-inconsistent: over st
                  "kb line 3: chi_s wants an integer or -, got '1x'", id="kb-chi_s-not-an-integer"),
     pytest.param(["table1", "{file}"], "link A\nbraid BR[2,{1,1}]\nchi_s %s\n" % _HUGE,
                  "kb line 3: chi_s wants an integer or -, got 5000 digits, too long", id="kb-chi_s-of-5000-digits"),
+    # cli.cmd_qp_verify reads each certificate key once
+    pytest.param(["qp-verify", "{file}"], "braid BR[3,{1,2}]\nbraid BR[3,{1,2,-1,-1,2,1}]\nfactors 1:2 -1:2\n",
+                 "certificate line 2: braid given twice", id="qp-verify-braid-given-twice"),
+    pytest.param(["qp-verify", "{file}"], "braid BR[3,{1,2,-1,-1,2,1}]\nfactors 1:2 -1:2\n# again\nfactors 1:2 -1:2\n",
+                 "certificate line 4: factors given twice", id="qp-verify-factors-given-twice"),
 ])
 def test_each_input_error_exits_1_with_one_error_line(capsys, tmp_path, argv, text, error):
     if text is not None:
@@ -373,47 +380,31 @@ def test_missing_file_exit_code(capsys):
     assert code == 1
 
 
-@pytest.mark.parametrize("argv, golden", [
-    pytest.param(["table1", "{fixtures}/table1.kb"], "table1.out", id="table1"),
-    pytest.param(["classify", "{fixtures}/table1.kb"], "classify.out", id="classify"),
-    pytest.param(["classify", "{fixtures}/table1.kb", "--machine"], "classify.machine.out", id="classify-machine"),
-    pytest.param(["qp-verify", "{fixtures}/qp_wermer.qp", "--machine"], "qp-verify.machine.out",
-                 id="qp-verify-machine"),
-    pytest.param(["chi", "BR[3,{1,-2,-1,-1,-2}]"], "chi.out", id="chi"),
-    pytest.param(["chi", "BR[3,{1,-2,-1,-1,-2}]", "--machine"], "chi.machine.out", id="chi-machine"),
-    pytest.param(["chi", "BR[4,{-1,-3,2,2,1,1,-2,-3,-2,-2,1,2}]", "--machine", "--search-budget", "2000"],
-                 "chi-truncated.machine.out", id="chi-truncated-machine"),
-    pytest.param(["qp-obstruct", "BR[3,{1,-2,1,-2,1}]"], "qp-obstruct.out", id="qp-obstruct"),
-    pytest.param(["qp-obstruct", "BR[3,{1,-2,1,-2,1}]", "--machine"], "qp-obstruct.machine.out",
-                 id="qp-obstruct-machine"),
-    *(pytest.param(["ovals", stage, "{fixtures}/%s.ovals" % name, *extra, *machine],
-                   "ovals/%s%s.%s%s.out" % (stage, variant, name, ".machine" if machine else ""),
-                   id="ovals-%s%s-%s%s" % (stage, variant, name, "-machine" if machine else ""))
-      for stage, variant, extra in [("realize", "", []), ("cable", "", []), ("splice", "", []),
-                                    ("embed", "", []),
-                                    ("embed", "-induced", ["--orientation", "induced"]),
-                                    ("embed", "-s2", ["--samples-scale", "2", "--seed", "3"])]
-      for name in ["hopf", "wermer", "wermer_conj", "fan"]
-      for machine in [[], ["--machine"]]),
-    *(pytest.param([command, "{fixtures}/appendix.pd", *machine],
-                   "pd/%s.appendix%s.out" % (command, ".machine" if machine else ""),
-                   id="%s-appendix%s" % (command, "-machine" if machine else ""))
-      for command in ["homfly", "lk"]
-      for machine in [[], ["--machine"]]),
-    # one circle over the other at every crossing, oriented by its numbering
-    pytest.param(["lk", "PD[X[1,3,2,4],X[2,3,1,4]]"], "pd/lk.all-over-2.out", id="lk-all-over-2"),
-    pytest.param(["lk", "PD[X[1,6,2,5],X[2,6,3,7],X[3,8,4,7],X[4,8,1,5]]"], "pd/lk.all-over-4.out",
-                 id="lk-all-over-4"),
-    # 3-field lines without geometry, and a forest that fails the winding balance
-    *(pytest.param(["ovals", "realize", "{fixtures}/unbalanced.ovals", *machine],
-                   "ovals/realize.unbalanced%s.out" % (".machine" if machine else ""),
-                   id="ovals-realize-unbalanced%s" % ("-machine" if machine else ""))
-      for machine in [[], ["--machine"]]),
-])
-def test_report_matches_golden_stdout(capsys, fixtures_dir, argv, golden):
-    code, out, _ = run(capsys, *(a.replace("{fixtures}", str(fixtures_dir)) for a in argv))
+# (args, golden) for each line of fixtures/goldens.txt; CI diffs the
+# installed cbound against the same list
+GOLDENS = [line.rpartition(" | ")[::2] for line in (ROOT / "fixtures" / "goldens.txt").read_text().splitlines()
+           if not line.startswith("#")]
+
+
+def _golden_id(golden):
+    # keeps each golden's test id stable across manifest edits:
+    # fixtures/ovals/embed-s2.fan.machine.out -> ovals-embed-s2-fan-machine,
+    # fixtures/pd/lk.appendix.out -> lk-appendix
+    return golden.removeprefix("fixtures/").removesuffix(".out").removeprefix("pd/").replace("/", "-").replace(".", "-")
+
+
+@pytest.mark.parametrize("args, golden", GOLDENS, ids=[_golden_id(golden) for _, golden in GOLDENS])
+def test_report_matches_golden_stdout(capsys, monkeypatch, args, golden):
+    monkeypatch.chdir(ROOT)
+    code, out, _ = run(capsys, *shlex.split(args))
     assert code == 0
-    assert out == (fixtures_dir / golden).read_text()
+    assert out == pathlib.Path(golden).read_text()
+
+
+def test_every_golden_is_in_the_manifest_once(fixtures_dir):
+    on_disk = sorted(p.relative_to(ROOT).as_posix() for p in fixtures_dir.rglob("*.out"))
+    assert len(on_disk) == 65
+    assert sorted(golden for _, golden in GOLDENS) == on_disk
 
 
 def test_qp_obstruct_evaluates_the_polynomial_once(capsys, monkeypatch):

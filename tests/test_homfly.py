@@ -1,5 +1,6 @@
 """Skein polynomial: known values, the defining relation, obstructions."""
 
+import math
 import random
 import time
 
@@ -49,6 +50,20 @@ def test_unlink_polys():
     assert unlink_poly(2) == f
     assert unlink_poly(3) == f * f
     assert unlink_poly(1) == ONE
+
+
+def test_unlink_poly_is_the_binomial_expansion_of_the_factor_power():
+    power = ONE  # UNLINK_FACTOR ** (c - 1), one product per step
+    for c in range(1, 201):
+        assert unlink_poly(c) == power
+        power = power * UNLINK_FACTOR
+    started = time.perf_counter()
+    p = unlink_poly(2000)
+    assert time.perf_counter() - started < 0.5
+    assert len(p.terms) == 2000
+    for (dv, dz), coeff in p.terms.items():
+        k = (dv + 1999) // 2
+        assert (dv, dz) == (2 * k - 1999, -1999) and coeff == (-1) ** k * math.comb(1999, k)
 
 
 @pytest.mark.parametrize("word,val", KNOWN)
