@@ -442,7 +442,8 @@ class ChiSearchResult:
 
 
 def chi_minus_lower_bound(
-    b: BraidWord, budget: int = DEFAULT_SEARCH_BUDGET, *, seifert: tuple[int, int, int] | None = None
+    b: BraidWord, budget: int = DEFAULT_SEARCH_BUDGET, *, seifert: tuple[int, int, int] | None = None,
+    mu: int | None = None,
 ) -> ChiSearchResult:
     """Best provable lower bound for the maximal Euler characteristic of a
     surface with negative double points bounded by the closure.
@@ -457,9 +458,9 @@ def chi_minus_lower_bound(
     The search stops as soon as its best score equals a ceiling that no
     reachable positive word can beat, so ``truncated`` is false there.  The
     ceiling is c = min(mu, 1 + sigma + nu), where mu is the component count
-    of the closure and sigma and nu are its signature and nullity
-    (``seifert``, the ``seifert_invariants`` triple of ``b``, computed here
-    when it is not given; positive braids have sigma < 0).  No surface
+    of the closure (``mu``) and sigma and nu are its signature and nullity
+    (``seifert``, the ``seifert_invariants`` triple of ``b``; each computed
+    here when not given; positive braids have sigma < 0).  No surface
     beats mu: each piece of a surface has Euler characteristic at most its
     number of boundary components.  A reached positive word p of length l
     on s strands scores s - l, the Euler characteristic of its banded
@@ -515,7 +516,7 @@ def chi_minus_lower_bound(
     table = _Table()
     mags = table.mags
     start_node = table.node(start.strands, start.letters)
-    ceiling = component_count(start)
+    ceiling = mu or component_count(start)
     counter = itertools.count()
     # visited set is word-level: braid-relation and commutation rewrites fix
     # the group element but change which flips and cancellations exist, so

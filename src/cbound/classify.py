@@ -3,9 +3,10 @@
 Builds two-sided bounds for the slice Euler characteristic and its
 reversed-mirror variant, then runs a monotone fixpoint of membership
 rules for the three nested link classes (quasipositive, strong boundary,
-boundary).  Seeding computes: each record's invariants, its seed bounds,
-its chi search and its certified verdicts (axioms and the certificate's
-``Q yes``) are computed once, when its row is built.  The fixpoint only
+boundary).  A record's seed bounds, chi search and certified verdicts
+(axioms and the certificate's ``Q yes``) are computed when its row is
+built; its invariants once per braid word in the ledger's memos, which
+the command's later runs (the axiom audit) share.  The fixpoint only
 propagates: its passes move bounds between related rows and derive
 verdicts from the ones already there.  The settled rows are the ledger's
 rows.  Every yes/no cell carries derivation traces, and a report compares
@@ -110,6 +111,7 @@ class Ledger:
     rows: dict[str, _Row]
     skein_budget: int
     search_budget: int
+    memos: tuple[Callable, Callable, Callable] = field(repr=False)  # see _Row
 
 
 # -- tagged bound dictionaries ----------------------------------------------
@@ -156,10 +158,11 @@ class _Row:
     the components with their own words and their linking (one
     ``closure_components`` call), the polynomial, the seed bounds, the
     chi search and the certified verdicts: the record's axioms, then its
-    certificate's ``Q yes``.  ``poly_of`` and ``seifert_of`` are the run's
-    memo functions, shared by all rows: a knot's only component word is
-    the record's own word, and a trefoil component recurs in several
-    links.  The fixpoint passes then only propagate bounds and verdicts.
+    certificate's ``Q yes``.  ``memos`` memoize the polynomial, Seifert
+    triple and components per word for all rows of the command's runs (a
+    trefoil component recurs in several links, and the axiom audit reruns
+    every record); no row changes their values.  The fixpoint passes then
+    only propagate bounds and verdicts.
     The settled row is the ledger's row: ``apply_rules`` sets its ``cells``,
     ``chi`` and ``chi_sources`` (the bound tables' own ``data``) once.
     """
@@ -167,13 +170,13 @@ class _Row:
     def __init__(
         self,
         rec: LinkRecord,
-        poly_of: Callable[[BraidWord], LaurentPoly2],
-        seifert_of: Callable[[BraidWord], tuple[int, int, int]],
+        memos: tuple[Callable, Callable, Callable],
         search_budget: int,
     ):
         self.rec = rec
         word = rec.braid
-        components, self.lk = closure_components(word)
+        poly_of, seifert_of, components_of = memos
+        components, self.lk = components_of(word)
         self.mu = mu = len(components)
         self.poly = poly_of(word)
         self.nontrivial = self.poly != unlink_poly(mu)
@@ -203,7 +206,7 @@ class _Row:
         tag = frozenset("g") if (mu >= 2 and knotted) else frozenset()
         self.s_hi.note(tag, eligible, "at most %d components can bound disks" % eligible)
 
-        self.search = chi_minus_lower_bound(word, search_budget, seifert=seifert_of(word))
+        self.search = chi_minus_lower_bound(word, search_budget, seifert=seifert_of(word), mu=mu)
         try:
             verify_witness(word, self.search)
         except BraidError as e:
@@ -557,17 +560,22 @@ def apply_rules(
     *,
     skein_budget: int = DEFAULT_SKEIN_BUDGET,
     search_budget: int = DEFAULT_SEARCH_BUDGET,
+    like: Ledger | None = None,
 ) -> Ledger:
     """Run the bound assembly and the membership fixpoint over the records.
 
+    A run given ``like`` takes that ledger's budgets and shares its memos.
     Each certificate is taken as already checked (``parse_kb`` checks it).
     Raises ClassifyError on contradictory cells or clashing bounds; those
     are data bugs, not expected outcomes.
     """
-    # one skein evaluation and one Seifert reduction per braid word and run
-    poly_of = functools.cache(lambda w: homfly_braid(w, skein_budget))
-    seifert_of = functools.cache(seifert_invariants)
-    rows = {r.name: _Row(r, poly_of, seifert_of, search_budget) for r in records}
+    if like is None:
+        # one skein evaluation, Seifert reduction and closure walk per braid word and command
+        memos = (functools.cache(lambda w: homfly_braid(w, skein_budget)),
+                 functools.cache(seifert_invariants), functools.cache(closure_components))
+    else:
+        skein_budget, search_budget, memos = like.skein_budget, like.search_budget, like.memos
+    rows = {r.name: _Row(r, memos, search_budget) for r in records}
     for _ in range(200):
         busy = _chi_pass(rows)
         busy |= _membership_pass(rows)
@@ -582,7 +590,7 @@ def apply_rules(
         row.chi_sources = {"chi_s.lo": row.s_lo.data, "chi_s.hi": row.s_hi.data,
                            "chi_s_minus.lo": row.m_lo.data, "chi_s_minus.hi": row.m_hi.data}
     _check_chain(rows)
-    return Ledger(rows, skein_budget, search_budget)
+    return Ledger(rows, skein_budget, search_budget, memos)
 
 
 def _check_chain(rows: dict[str, _Row]):
@@ -610,13 +618,12 @@ def axiom_audit(records: list[LinkRecord], ledger: Ledger) -> list[tuple[str, st
     """Cells that the generic rules alone leave undecided, each attributed
     to the axioms it rests on.
 
-    Attribution reruns the fixpoint, at the ledger's budgets, with one
-    axiom dropped at a time; a cell that goes dark in such a run depends on
-    the dropped axiom, even when the axiom lives on a different record and
-    acts through a cascade.
+    Attribution reruns the fixpoint, at the ledger's budgets and with its
+    memos, with one axiom dropped at a time; a cell that goes dark in such
+    a run depends on the dropped axiom, even when the axiom lives on a
+    different record and acts through a cascade.
     """
-    budgets = {"skein_budget": ledger.skein_budget, "search_budget": ledger.search_budget}
-    pure = apply_rules([replace(r, axioms=()) for r in records], **budgets)
+    pure = apply_rules([replace(r, axioms=()) for r in records], like=ledger)
     targets = []
     for rec in records:
         for cls in CLASSES:
@@ -630,7 +637,7 @@ def axiom_audit(records: list[LinkRecord], ledger: Ledger) -> list[tuple[str, st
             replace(r, axioms=tuple(a for a in r.axioms if not (r.name == owner and a == dropped)))
             for r in records
         ]
-        partial = apply_rules(ablated, **budgets)
+        partial = apply_rules(ablated, like=ledger)
         for name, cls, _ in targets:
             if partial.rows[name].cells[cls].verdict == "unknown":
                 needs[(name, cls)].add(dropped.letter)

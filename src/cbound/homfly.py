@@ -32,8 +32,6 @@ every element it writes, in the trace too.
 
 from __future__ import annotations
 
-import math
-
 from .braids import BraidWord, reduce_word
 from .diagrams import Crossing, Diagram, from_braid, remove_crossings, simplify_diagram
 
@@ -339,8 +337,12 @@ def homfly_pd(diag: Diagram, budget: int = DEFAULT_SKEIN_BUDGET) -> LaurentPoly2
 
 def unlink_poly(components: int) -> LaurentPoly2:
     # UNLINK_FACTOR ** m = (v^-1 - v)^m z^-m, expanded by the binomial theorem
-    m = components - 1
-    return LaurentPoly2({(2 * k - m, -m): (-1) ** k * math.comb(m, k) for k in range(m + 1)})
+    # with C(m, k + 1) = C(m, k) (m - k) / (k + 1)
+    m, terms, c = components - 1, {}, 1
+    for k in range(m + 1):
+        terms[(2 * k - m, -m)] = -c if k % 2 else c
+        c = c * (m - k) // (k + 1)
+    return LaurentPoly2(terms)
 
 
 def fwm_obstruction(p: LaurentPoly2, chi_s_upper: int) -> dict:

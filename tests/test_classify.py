@@ -262,6 +262,55 @@ def test_one_polynomial_per_word_per_run(fixtures_dir, monkeypatch):
     assert len(evaluated) == len(set(evaluated)) == 31
 
 
+def test_the_audit_reruns_reuse_the_first_runs_invariants(fixtures_dir, monkeypatch):
+    import cbound.braids
+    import cbound.classify
+
+    calls: dict[str, list] = {"homfly_braid": [], "seifert_invariants": [], "closure_components": []}
+
+    def counted(name, real):
+        def counting(b, *args):
+            calls[name].append(b)
+            return real(b, *args)
+        return counting
+
+    # both modules' names, so that a walk inside the chi search counts too
+    for module in (cbound.braids, cbound.classify):
+        for name in ("seifert_invariants", "closure_components"):
+            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    monkeypatch.setattr(cbound.classify, "homfly_braid", counted("homfly_braid", cbound.classify.homfly_braid))
+    recs = parse_kb((fixtures_dir / "table1.kb").read_text())
+    axiom_audit(recs, apply_rules(recs))
+    for words in calls.values():
+        assert len(words) == len(set(words)), "a word's invariant was computed twice"
+    assert len(calls["homfly_braid"]) == 31
+    assert len(calls["seifert_invariants"]) == 32
+    assert set(calls["closure_components"]) == {r.braid for r in recs}
+
+
+def _row_state(row):
+    return (row.cells, row.chi, {k: dict(v) for k, v in row.chi_sources.items()},
+            [list(r) for r in row.lk], dict(row.poly.terms))
+
+
+def test_the_audit_equals_one_that_shares_nothing_and_leaves_the_ledger_alone(fixtures_dir, monkeypatch):
+    import cbound.classify
+
+    recs = parse_kb((fixtures_dir / "table1.kb").read_text())
+    led = apply_rules(recs)
+    before = {name: _row_state(row) for name, row in led.rows.items()}
+    shared = axiom_audit(recs, led)
+    assert {name: _row_state(row) for name, row in led.rows.items()} == before
+
+    real = cbound.classify.apply_rules
+
+    def fresh(records, *, like):
+        return real(records, skein_budget=like.skein_budget, search_budget=like.search_budget)
+
+    monkeypatch.setattr(cbound.classify, "apply_rules", fresh)
+    assert axiom_audit(recs, apply_rules(recs)) == shared
+
+
 def test_one_certificate_check_per_cert_line(fixtures_dir, monkeypatch, capsys):
     import cbound.classify
     from cbound.cli import main

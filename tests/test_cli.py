@@ -444,6 +444,30 @@ def test_qp_obstruct_runs_no_chi_search(capsys, monkeypatch):
     assert budgets == [0, 7]
 
 
+@pytest.mark.parametrize("argv,golden", [
+    (["BR[3,{1,-2,-1,-1,-2}]"], "chi.out"),
+    (["BR[3,{1,-2,-1,-1,-2}]", "--machine"], "chi.machine.out"),
+    (["BR[4,{-1,-3,2,2,1,1,-2,-3,-2,-2,1,2}]", "--machine", "--search-budget", "2000"], "chi-truncated.machine.out"),
+])
+def test_chi_walks_the_closure_of_a_link_once(capsys, monkeypatch, fixtures_dir, argv, golden):
+    import cbound.braids
+    import cbound.classify
+
+    walked = []
+    real = cbound.braids.closure_components
+
+    def counting(b):
+        walked.append(b)
+        return real(b)
+
+    for module in (cbound.braids, cbound.classify):
+        monkeypatch.setattr(module, "closure_components", counting)
+    code, out, _ = run(capsys, "chi", *argv)
+    assert code == 0
+    assert out == (fixtures_dir / golden).read_text()
+    assert len(walked) == 1 and len(real(walked[0])[0]) == 2
+
+
 def test_chi_stops_before_the_search_when_a_knot_exceeds_the_skein_budget(capsys, monkeypatch):
     import cbound.classify
 
