@@ -8,9 +8,10 @@ boundary).  A record's seed bounds, chi search and certified verdicts
 built; its invariants once per braid word in the ledger's memos, which
 the command's later runs (the axiom audit) share.  The fixpoint only
 propagates: its passes move bounds between related rows and derive
-verdicts from the ones already there.  The settled rows are the ledger's
-rows.  Every yes/no cell carries derivation traces, and a report compares
-the whole ledger against expected table fixtures.
+verdicts from the ones already there.  A cell is decided where it is
+derived, a chi end read from its bound table, and the settled rows are
+the ledger's rows.  Every yes/no cell carries derivation traces, and a
+report compares the whole ledger against expected table fixtures.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .braids import (
     seifert_invariants,
     verify_witness,
 )
-from .diagrams import zero_linking_sublinks
+from .diagrams import linked_throughout
 from .homfly import DEFAULT_SKEIN_BUDGET, LaurentPoly2, homfly_braid, unlink_poly, fwm_obstruction
 from .notation import ParseError, line_words, parse_braid, render_braid
 
@@ -102,8 +103,10 @@ class Derivation:
 
 @dataclass
 class CellResult:
+    """One class's verdict; ``_Row.derive`` sets it and appends to the list of derivations."""
+
     verdict: str  # yes / no / unknown
-    derivations: tuple[Derivation, ...]
+    derivations: list[Derivation]
 
 
 @dataclass
@@ -163,8 +166,8 @@ class _Row:
     trefoil component recurs in several links, and the axiom audit reruns
     every record); no row changes their values.  The fixpoint passes then
     only propagate bounds and verdicts.
-    The settled row is the ledger's row: ``apply_rules`` sets its ``cells``,
-    ``chi`` and ``chi_sources`` (the bound tables' own ``data``) once.
+    The settled row is the ledger's row: its ``cells`` are the ones
+    ``derive`` wrote, and ``chi`` reads the ends of its four bound tables.
     """
 
     def __init__(
@@ -184,7 +187,7 @@ class _Row:
         self.s_hi = _Bound("hi", mu)
         self.m_lo = _Bound("lo", mu)
         self.m_hi = _Bound("hi", mu)
-        self.derivs: dict[str, dict[tuple[str, frozenset], Derivation]] = {c: {} for c in CLASSES}
+        self.cells = {c: CellResult("unknown", []) for c in CLASSES}
 
         self.s_lo.note(frozenset(), bennequin_chi(word), "banded surface of the given word")
         sig, nul, _ = seifert_of(word)
@@ -227,23 +230,25 @@ class _Row:
     @functools.cached_property
     def linked_throughout(self) -> bool:
         """Every proper component subset links its complement."""
-        return next(zero_linking_sublinks(self.lk), None) is None
+        return linked_throughout(self.lk)
+
+    @property
+    def chi(self) -> ChiBounds:
+        return ChiBounds((self.s_lo.best()[0], self.s_hi.best()[0]), (self.m_lo.best()[0], self.m_hi.best()[0]))
 
     def derive(self, cls: str, verdict: str, letters: frozenset, rule: str, why: str) -> bool:
-        key = (verdict, letters)
-        if key in self.derivs[cls]:
-            return False
-        self.derivs[cls][key] = Derivation(rule, verdict, letters, why)
-        return True
-
-    def verdict(self, cls: str) -> str:
-        seen = {v for v, _ in self.derivs[cls]}
-        if len(seen) > 1:
+        cell = self.cells[cls]
+        for d in cell.derivations:
+            if d.verdict == verdict and d.letters == letters:
+                return False
+        cell.derivations.append(Derivation(rule, verdict, letters, why))
+        if cell.verdict not in ("unknown", verdict):
             lines = ["%s/%s derived both ways for %s:" % (cls, "contradiction", self.rec.name)]
-            for d in self.derivs[cls].values():
+            for d in cell.derivations:
                 lines.append("  %s -> %s (%s): %s" % (d.rule, d.verdict, fmt_letters(d.letters), d.why))
             raise ClassifyError("\n".join(lines))
-        return next(iter(seen)) if seen else "unknown"
+        cell.verdict = verdict
+        return True
 
     def check_chi(self):
         for label, lo, hi in (("chi_s", self.s_lo, self.s_hi), ("chi_s^-", self.m_lo, self.m_hi)):
@@ -438,16 +443,15 @@ def _chi_pass(rows: dict[str, _Row]) -> bool:
             # the slice characteristic does not feel a reflection of the
             # four-ball, so upper and lower transfer both ways; the immersed
             # variant is chiral and must not be copied
-            changed |= _copy_entries(row.s_lo, other.s_lo, "mirror of %s" % other.rec.name)
-            changed |= _copy_entries(row.s_hi, other.s_hi, "mirror of %s" % other.rec.name)
-            changed |= _copy_entries(other.s_lo, row.s_lo, "mirror of %s" % rec.name)
-            changed |= _copy_entries(other.s_hi, row.s_hi, "mirror of %s" % rec.name)
+            for dst, src in ((row, other), (other, row)):
+                changed |= _copy_entries(dst.s_lo, src.s_lo, "mirror of %s" % src.rec.name)
+                changed |= _copy_entries(dst.s_hi, src.s_hi, "mirror of %s" % src.rec.name)
         if rec.summands:
             parts = [rows[s] for s in rec.summands]
             off = 0 if rec.sum_kind == "split" else 1 - len(parts)
             changed |= _combine(row.s_lo, [p.s_lo for p in parts], off, frozenset(), "summand surfaces glued")
             changed |= _combine(row.m_lo, [p.m_lo for p in parts], off, frozenset(), "summand surfaces glued")
-            if all(p.verdict("SB") == "yes" for p in parts):
+            if all(p.cells["SB"].verdict == "yes" for p in parts):
                 changed |= _combine(
                     row.s_hi, [p.s_hi for p in parts], off, frozenset("e"), "additivity over strong summands"
                 )
@@ -457,7 +461,7 @@ def _chi_pass(rows: dict[str, _Row]) -> bool:
                 )
         changed |= _copy_entries(row.m_lo, row.s_lo, "embedded surfaces count")
         changed |= _copy_entries(row.s_hi, row.m_hi, "immersed bound dominates")
-        if row.verdict("SB") == "yes":
+        if row.cells["SB"].verdict == "yes":
             changed |= _copy_entries(row.s_lo, row.m_lo, "both characteristics agree for strong boundaries")
             changed |= _copy_entries(row.m_hi, row.s_hi, "both characteristics agree for strong boundaries")
         row.check_chi()
@@ -469,20 +473,20 @@ def _membership_pass(rows: dict[str, _Row]) -> bool:
     for row in rows.values():
         rec = row.rec
         # inclusion chain, both directions
-        if row.verdict("Q") == "yes":
+        if row.cells["Q"].verdict == "yes":
             changed |= row.derive("SB", "yes", frozenset(), "chain", "quasipositive links are strong boundaries")
-        if row.verdict("SB") == "yes":
+        if row.cells["SB"].verdict == "yes":
             changed |= row.derive("B", "yes", frozenset(), "chain", "strong boundaries are boundaries")
-        if row.verdict("B") == "no":
+        if row.cells["B"].verdict == "no":
             changed |= row.derive("SB", "no", frozenset(), "chain", "not even a plain boundary")
-        if row.verdict("SB") == "no":
+        if row.cells["SB"].verdict == "no":
             changed |= row.derive("Q", "no", frozenset(), "chain", "not a strong boundary")
 
         # a nontrivial quasipositive link bars its mirror from the class
-        if rec.mirror_of and row.verdict("Q") != "yes":
+        if rec.mirror_of and row.cells["Q"].verdict != "yes":
             other = rows[rec.mirror_of]
             for a, b in ((row, other), (other, row)):
-                if a.verdict("Q") == "yes" and a.nontrivial:
+                if a.cells["Q"].verdict == "yes" and a.nontrivial:
                     changed |= b.derive(
                         "Q", "no", frozenset(), "mirror-exclusion",
                         "mirror %s is quasipositive and nontrivial" % a.rec.name,
@@ -490,7 +494,7 @@ def _membership_pass(rows: dict[str, _Row]) -> bool:
 
         # a sum with a non-quasipositive summand is not quasipositive
         for s in rec.summands:
-            if rows[s].verdict("Q") == "no":
+            if rows[s].cells["Q"].verdict == "no":
                 changed |= row.derive(
                     "Q", "no", frozenset("c"), "sum-obstruction", "summand %s is not quasipositive" % s
                 )
@@ -505,7 +509,7 @@ def _membership_pass(rows: dict[str, _Row]) -> bool:
                     )
 
         # no sublink of zero total linking means no bounded piece to shed
-        if row.verdict("SB") == "no" and row.linked_throughout:
+        if row.cells["SB"].verdict == "no" and row.linked_throughout:
             changed |= row.derive(
                 "B", "no", frozenset("b"), "linked-throughout",
                 "not strong, and every component subset links its complement",
@@ -515,11 +519,11 @@ def _membership_pass(rows: dict[str, _Row]) -> bool:
         # outer components, which strength supplies automatically
         if rec.summands:
             parts = [rows[s] for s in rec.summands]
-            if all(p.verdict("SB") == "yes" for p in parts):
+            if all(p.cells["SB"].verdict == "yes" for p in parts):
                 changed |= row.derive(
                     "SB", "yes", frozenset(), "sum-closure", "all summands are strong boundaries"
                 )
-            if all(p.verdict("B") == "yes" and (p.verdict("SB") == "yes" or p.rec.outer) for p in parts):
+            if all(p.cells["B"].verdict == "yes" and (p.cells["SB"].verdict == "yes" or p.rec.outer) for p in parts):
                 changed |= row.derive(
                     "B", "yes", frozenset(), "sum-closure", "boundary summands with outer components"
                 )
@@ -532,12 +536,12 @@ def _membership_pass(rows: dict[str, _Row]) -> bool:
                 for tags, (v, why) in a.s_hi.data.items():
                     if v > 0:
                         continue
-                    if a.verdict("SB") == "yes":
+                    if a.cells["SB"].verdict == "yes":
                         changed |= b.derive(
                             "B", "no", frozenset("f") | tags, "reversed-mirror",
                             "%s is a strong boundary with chi_s <= %d (%s)" % (a.rec.name, v, why),
                         )
-                    if b.verdict("B") == "yes":
+                    if b.cells["B"].verdict == "yes":
                         changed |= a.derive(
                             "SB", "no", frozenset("f") | tags, "reversed-mirror",
                             "%s bounds while chi_s <= %d here (%s)" % (b.rec.name, v, why),
@@ -583,12 +587,6 @@ def apply_rules(
             break
     else:
         raise ClassifyError("rule fixpoint failed to settle")
-
-    for row in rows.values():
-        row.cells = {cls: CellResult(row.verdict(cls), tuple(row.derivs[cls].values())) for cls in CLASSES}
-        row.chi = ChiBounds((row.s_lo.best()[0], row.s_hi.best()[0]), (row.m_lo.best()[0], row.m_hi.best()[0]))
-        row.chi_sources = {"chi_s.lo": row.s_lo.data, "chi_s.hi": row.s_hi.data,
-                           "chi_s_minus.lo": row.m_lo.data, "chi_s_minus.hi": row.m_hi.data}
     _check_chain(rows)
     return Ledger(rows, skein_budget, search_budget, memos)
 
@@ -603,15 +601,6 @@ def _check_chain(rows: dict[str, _Row]):
 
 
 # -- reporting ---------------------------------------------------------------
-
-
-def _match(cell: CellResult, want: CellExpectation) -> Derivation | None:
-    if cell.verdict != want.verdict:
-        return None
-    for d in cell.derivations:
-        if d.letters == want.letters:
-            return d
-    return None
 
 
 def axiom_audit(records: list[LinkRecord], ledger: Ledger) -> list[tuple[str, str, str, str]]:
@@ -661,67 +650,62 @@ def table1_report(
     mism = 0
     for rec in records:
         row = ledger.rows[rec.name]
-        # (class, expected cell or None, derived cell, whether they match)
-        cells = []
+        chi = row.chi
+        cols = []  # the text line's columns: one per class, then the two stated chi values
         for cls in CLASSES:
             want = rec.expected.get(cls)
             cell = row.cells[cls]
-            ok = want is None or _match(cell, want) is not None
+            ok = want is None or (cell.verdict == want.verdict
+                                  and any(d.letters == want.letters for d in cell.derivations))
             mism += not ok
-            cells.append((cls, want, cell, ok))
-        chi_cols = []
-        for label, stated, got in (
-            ("chi_s", rec.stated_chi_s, row.chi.chi_s[1]),
-            ("chi_s^-", rec.stated_chi_minus, row.chi.chi_s_minus[0]),
-        ):
-            if stated is None:
-                chi_cols.append("%s -" % label)
-            elif stated == got:
-                chi_cols.append("%s %d ok" % (label, stated))
-            else:
-                mism += 1
-                chi_cols.append("%s %d MISMATCH: derived %d" % (label, stated, got))
-        if machine:
-            for cls, want, cell, ok in cells:
+            if machine:
                 lines.append("row.%s.%s=%s" % (rec.name, cls, cell.verdict))
                 lines.append("row.%s.%s.expected=%s" % (rec.name, cls, want.verdict if want else "-"))
                 lines.append(
                     "row.%s.%s.letters=%s" % (rec.name, cls, fmt_letters(want.letters) if want else "-")
                 )
                 lines.append("row.%s.%s.status=%s" % (rec.name, cls, "ok" if ok else "mismatch"))
-            lines.append("row.%s.chi_s=%d:%d" % (rec.name, *row.chi.chi_s))
-            lines.append("row.%s.chi_s_minus=%d:%d" % (rec.name, *row.chi.chi_s_minus))
+            elif want is None:
+                cols.append("%s %s ?" % (cls, cell.verdict))
+            elif ok:
+                cols.append("%s %s (%s) ok" % (cls, want.verdict, fmt_letters(want.letters)))
+            else:
+                have = " or ".join(
+                    "%s(%s)" % (d.verdict, fmt_letters(d.letters)) for d in cell.derivations
+                ) or "nothing"
+                cols.append("%s %s (%s) MISMATCH: derived %s"
+                            % (cls, want.verdict, fmt_letters(want.letters), have))
+        for label, stated, got in (
+            ("chi_s", rec.stated_chi_s, chi.chi_s[1]),
+            ("chi_s^-", rec.stated_chi_minus, chi.chi_s_minus[0]),
+        ):
+            if stated is None:
+                cols.append("%s -" % label)
+            elif stated == got:
+                cols.append("%s %d ok" % (label, stated))
+            else:
+                mism += 1
+                cols.append("%s %d MISMATCH: derived %d" % (label, stated, got))
+        if machine:
+            lines.append("row.%s.chi_s=%d:%d" % (rec.name, *chi.chi_s))
+            lines.append("row.%s.chi_s_minus=%d:%d" % (rec.name, *chi.chi_s_minus))
             lines.append("row.%s.chi_s.stated=%s" % (rec.name, rec.stated_chi_s if rec.stated_chi_s is not None else "-"))
             lines.append(
                 "row.%s.chi_s_minus.stated=%s"
                 % (rec.name, rec.stated_chi_minus if rec.stated_chi_minus is not None else "-")
             )
         else:
-            cols = []
-            for cls, want, cell, ok in cells:
-                if want is None:
-                    cols.append("%s %s ?" % (cls, cell.verdict))
-                elif ok:
-                    cols.append("%s %s (%s) ok" % (cls, want.verdict, fmt_letters(want.letters)))
-                else:
-                    have = " or ".join(
-                        "%s(%s)" % (d.verdict, fmt_letters(d.letters)) for d in cell.derivations
-                    ) or "nothing"
-                    cols.append("%s %s (%s) MISMATCH: derived %s"
-                                % (cls, want.verdict, fmt_letters(want.letters), have))
-            lines.append("%-12s %s | %s" % (rec.name, " | ".join(cols), " | ".join(chi_cols)))
+            lines.append("%-12s %s" % (rec.name, " | ".join(cols)))
     if machine:
         for name, cls, v, letters in audit:
             lines.append("axiom.%s.%s=%s:%s" % (name, cls, v, letters))
+        lines.append("rows=%d" % len(records))
+        lines.append("mismatches=%d" % mism)
     else:
         lines.append("")
         lines.append("axiom-backed cells (underivable by the generic rules alone):")
         for name, cls, v, letters in audit:
             lines.append("  %-12s %s=%s rests on axiom (%s)" % (name, cls, v, letters))
-    if machine:
-        lines.append("rows=%d" % len(records))
-        lines.append("mismatches=%d" % mism)
-    else:
         lines.append("")
         lines.append("%d rows, %d mismatches" % (len(records), mism))
     return "\n".join(lines), mism

@@ -114,10 +114,10 @@ def cmd_chi(args) -> int:
     else:
         print("chi_s in [%d, %d]" % (slo, shi))
         print("chi_s^- in [%d, %d]" % (mlo, mhi))
-        for label, key in (("chi_s", "chi_s"), ("chi_s^-", "chi_s_minus")):
-            for side, cmp_ in (("lo", ">="), ("hi", "<=")):
-                for tags, (v, why) in sorted(row.chi_sources["%s.%s" % (key, side)].items(), key=lambda t: sorted(t[0])):
-                    print("  %s %s %d  (%s)" % (label, cmp_, v, why))
+        for label, cmp_, table in (("chi_s", ">=", row.s_lo), ("chi_s", "<=", row.s_hi),
+                                   ("chi_s^-", ">=", row.m_lo), ("chi_s^-", "<=", row.m_hi)):
+            for tags, (v, why) in sorted(table.data.items(), key=lambda t: sorted(t[0])):
+                print("  %s %s %d  (%s)" % (label, cmp_, v, why))
         if row.search.witness:
             print("witness path:")
             print("  start %s" % render_braid(b))

@@ -15,7 +15,6 @@ counterclockwise from the incoming under-strand) maps to records as
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from .braids import BraidWord
@@ -280,12 +279,14 @@ def simplify_diagram(d: Diagram) -> Diagram:
     return cur
 
 
-def zero_linking_sublinks(m: list[list[int]]) -> Iterator[tuple[int, ...]]:
-    """Proper nonempty component subsets whose total linking number with
-    the complement vanishes, yielded one at a time."""
+def linked_throughout(m: list[list[int]]) -> bool:
+    """Whether every proper component subset has nonzero total linking with
+    its complement.  A subset and its complement share that total, so only
+    the 2^(n-1) - 1 subsets without the last component are tried."""
     n = len(m)
-    for mask in range(1, (1 << n) - 1):
+    for mask in range(1, (1 << n) // 2):
         s = [i for i in range(n) if mask >> i & 1]
         rest = [i for i in range(n) if not mask >> i & 1]
         if sum(m[i][j] for i in s for j in rest) == 0:
-            yield tuple(s)
+            return False
+    return True

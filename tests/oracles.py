@@ -3,7 +3,8 @@
 None of these is used by a command: each one reaches a known answer by a
 second way (reflecting a diagram, reversing one component, evaluating the
 skein polynomial at a point, following each component's strands on its
-own, rewriting braid words letter by letter, sweeping Garside factors
+own, trying every component subset for a sublink of zero linking,
+rewriting braid words letter by letter, sweeping Garside factors
 until nothing changes, acting on the free group,
 eliminating the Seifert form over the rationals, orienting PD input by
 local rules, scanning text one character at a time) so that a test can
@@ -131,6 +132,18 @@ def closure_components_by_sublink(b: BraidWord) -> tuple[list[BraidWord], list[l
     and one more for the linking."""
     cycles = [frozenset(c + 1 for c in cyc) for cyc in strand_cycles(b)]
     return [sub_braid(b, cyc) for cyc in cycles], cycle_linking(b, cycles)
+
+
+def reference_zero_linking_sublinks(m: list[list[int]]):
+    """Proper nonempty component subsets whose total linking number with
+    the complement vanishes, yielded one at a time; every subset is tried,
+    each complement too."""
+    n = len(m)
+    for mask in range(1, (1 << n) - 1):
+        s = [i for i in range(n) if mask >> i & 1]
+        rest = [i for i in range(n) if not mask >> i & 1]
+        if sum(m[i][j] for i in s for j in rest) == 0:
+            yield tuple(s)
 
 
 # -- the chi search's rewriting moves on plain letter tuples ------------------

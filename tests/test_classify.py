@@ -188,9 +188,10 @@ def test_chi_ends_are_the_extremes_of_the_rows_own_source_tables(fixtures_dir):
     # cbound chi prints the ends and the tables they come from
     table1 = apply_rules(parse_kb((fixtures_dir / "table1.kb").read_text())).rows.values()
     for row in [*table1, *_solo_rows(0), *_solo_rows(2000)]:
-        for key, (lo, hi) in (("chi_s", row.chi.chi_s), ("chi_s_minus", row.chi.chi_s_minus)):
-            assert lo == max(v for v, _ in row.chi_sources[key + ".lo"].values()), (row.rec.braid, key)
-            assert hi == min(v for v, _ in row.chi_sources[key + ".hi"].values()), (row.rec.braid, key)
+        for key, (lo, hi), lo_table, hi_table in (("chi_s", row.chi.chi_s, row.s_lo, row.s_hi),
+                                                  ("chi_s_minus", row.chi.chi_s_minus, row.m_lo, row.m_hi)):
+            assert lo == max(v for v, _ in lo_table.data.values()), (row.rec.braid, key)
+            assert hi == min(v for v, _ in hi_table.data.values()), (row.rec.braid, key)
 
 
 def test_contradiction_aborts():
@@ -199,6 +200,22 @@ def test_contradiction_aborts():
     kb = "link A\nbraid BR[2,{1,1}]\ncert :1 :1\naxiom B no h\n"
     with pytest.raises(ClassifyError, match="contradiction"):
         apply_rules(parse_kb(kb))
+    # two axioms that disagree fail at the second one, naming both
+    kb = "link A\nbraid BR[2,{1,1}]\naxiom Q yes a\naxiom Q no b\n"
+    with pytest.raises(ClassifyError) as err:
+        apply_rules(parse_kb(kb))
+    assert str(err.value) == (
+        "Q/contradiction derived both ways for A:\n"
+        "  axiom -> yes (a): certified construction, cited as (a)\n"
+        "  axiom -> no (b): certified construction, cited as (b)"
+    )
+
+
+def test_a_repeated_derivation_is_listed_once():
+    recs = parse_kb("link A\nbraid BR[2,{1,1}]\naxiom Q yes a\naxiom Q yes a\n")
+    led = apply_rules(recs)
+    assert [(d.rule, d.letters) for d in led.rows["A"].cells["Q"].derivations] == [("axiom", frozenset("a"))]
+    assert describe_ledger(recs, led).count("via axiom (a)") == 1
 
 
 def test_expected_letters_must_match_exactly():
@@ -289,7 +306,9 @@ def test_the_audit_reruns_reuse_the_first_runs_invariants(fixtures_dir, monkeypa
 
 
 def _row_state(row):
-    return (row.cells, row.chi, {k: dict(v) for k, v in row.chi_sources.items()},
+    # by value: the cells and bound tables are the row's live objects
+    return ({cls: (cell.verdict, tuple(cell.derivations)) for cls, cell in row.cells.items()}, row.chi,
+            [dict(table.data) for table in (row.s_lo, row.s_hi, row.m_lo, row.m_hi)],
             [list(r) for r in row.lk], dict(row.poly.terms))
 
 
@@ -335,13 +354,13 @@ def test_linked_throughout_is_tested_at_most_once_per_record(fixtures_dir, monke
     import cbound.classify
 
     tested = []
-    real = cbound.classify.zero_linking_sublinks
+    real = cbound.classify.linked_throughout
 
     def counting(m):
         tested.append(m)
         return real(m)
 
-    monkeypatch.setattr(cbound.classify, "zero_linking_sublinks", counting)
+    monkeypatch.setattr(cbound.classify, "linked_throughout", counting)
     recs = parse_kb((fixtures_dir / "table1.kb").read_text())
     apply_rules(recs)
     assert len(tested) <= len(recs) == 29

@@ -10,16 +10,22 @@ from cbound.diagrams import (
     DiagramError,
     from_braid,
     from_pd,
+    linked_throughout,
     linking_matrix,
     pd_tuples,
     remove_crossings,
     simplify_diagram,
     walk_components,
-    zero_linking_sublinks,
 )
 from cbound.homfly import homfly, unlink_poly
 from cbound.notation import parse_pd
-from oracles import mirror_diagram, reference_from_pd, reverse_component, strand_cycles
+from oracles import (
+    mirror_diagram,
+    reference_from_pd,
+    reference_zero_linking_sublinks,
+    reverse_component,
+    strand_cycles,
+)
 
 HOPF_PLUS = BraidWord(2, (1, 1))
 
@@ -147,18 +153,49 @@ def test_reverse_component_flips_its_linking_row():
     assert linking_matrix(r) == [[0, -1], [-1, 0]]
 
 
-def test_zero_linking_sublinks():
-    # {0,1} clasp each other but not component 2, so both {2} and {0,1}
-    # split off with zero total linking; singletons 0 and 1 do not
-    m = [[0, 1, 0], [1, 0, 0], [0, 0, 0]]
-    subs = list(zero_linking_sublinks(m))
-    assert (2,) in subs
-    assert (0, 1) in subs
-    assert (0,) not in subs
-    # proper subsets only
-    assert (0, 1, 2) not in subs
-    # a single clasp admits none at all
-    assert list(zero_linking_sublinks([[0, 1], [1, 0]])) == []
+# the negative Hopf chain on 5 components: each links its neighbours once
+HOPF_CHAIN_LK = [[-1 if abs(i - j) == 1 else 0 for j in range(5)] for i in range(5)]
+# component 0 links 1 and 2 with opposite signs, so {0} has total 0
+CANCELLING_TRIPLE_LK = [[0, 1, -1], [1, 0, 1], [-1, 1, 0]]
+
+
+def test_linked_throughout():
+    # {0,1} clasp each other but not component 2, so {2} splits off with
+    # zero total linking (and so does its complement {0,1})
+    assert not linked_throughout([[0, 1, 0], [1, 0, 0], [0, 0, 0]])
+    # a single clasp admits no such subset; the whole link is not a proper subset
+    assert linked_throughout([[0, 1], [1, 0]])
+    assert linked_throughout([[0]])
+    assert not linked_throughout([[0] * 4 for _ in range(4)])
+    assert linked_throughout(HOPF_CHAIN_LK)
+    assert not linked_throughout(CANCELLING_TRIPLE_LK)
+
+
+def _seeded_linking_matrices(seed, count):
+    rng = random.Random(seed)
+    for k in range(count):
+        n = 1 + k % 8
+        zero = 0.6 * rng.random()  # the share of unlinked pairs, about
+        # one sign throughout links every subset that has a linked pair
+        # across it; mixed signs can cancel
+        values = rng.choice(((1, 2), (-1, -2), (-2, -1, 1, 2)))
+        m = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                if rng.random() >= zero:
+                    m[i][j] = m[j][i] = rng.choice(values)
+        yield m
+
+
+def test_linked_throughout_equals_the_reference_on_seeded_matrices():
+    special = [[[0] * n for _ in range(n)] for n in range(1, 9)] + [HOPF_CHAIN_LK, CANCELLING_TRIPLE_LK]
+    seen = {(n, want): 0 for n in range(1, 9) for want in (True, False)}
+    for m in [*special, *_seeded_linking_matrices(41, 560)]:
+        want = next(reference_zero_linking_sublinks(m), None) is None
+        assert linked_throughout(m) == want, m
+        seen[len(m), want] += 1
+    # both answers occur often at every size from 2 components up
+    assert min(seen[n, want] for n in range(2, 9) for want in (True, False)) >= 15, seen
 
 
 def test_simplify_removes_reducible_kinks():
