@@ -17,35 +17,38 @@ The crossing scan (_scan) runs once per chart over all curves.  Each
 polygon's segments are cut into chunks of _CHUNK consecutive segments;
 parametrize gives every curve a multiple of 64 samples, so no chunk
 straddles two curves.  Each chunk gets its bounding box padded by _PAD on
-every side.  For each curve x in order, the chunks of x are paired with
-the chunks of x and of every later curve, keeping chunk pairs ci <= cj:
-that is every pair of curves x < y whole, and for a curve against itself
-the upper triangle.  Nothing is lost by the triangle: hits with i > j on
-one curve are skipped anyway and the near-parallel guard is symmetric in
-i and j.
+every side.  The curves are swept in groups of consecutive whole curves.
+A group takes the next curve while its overlap block (its chunk rows
+against every chunk from its first on) stays within _GROUP entries; a
+lone curve wider than that meets the later chunks in column steps.  One
+batched exact test per group covers its chunk pairs ci < cj (curve pairs
+x < y whole, a curve against itself above the diagonal) and, as one more
+job, each chunk against itself on the 21 cells (u, v) with v >= u + 2.
 
-Only segment pairs from chunk pairs whose padded boxes overlap reach the
-exact test, and nothing is lost at this broadphase either.  A hit lies on
-both segments (up to a 1e-7 fraction of their length), so both boxes hold
-it.  The near-parallel guard fires on segments whose start points are
-within 2e-2 of each other on each axis; each box holds its segment's
-start point, and two boxes that close overlap once each is padded by
-more than 1e-2 (2 * _PAD = 0.03 in total).
+Nothing is lost by these triangles.  Hits on one curve are kept only for
+j >= i + 2 (and j - i < n - 1), and inside a chunk j - i = v - u.  The
+near-parallel guard skips the same neighbours, and a cell and its mirror
+fire together: the det and start-point differences of (b, a) are the
+exact IEEE negatives of those of (a, b).  Nothing is lost at the
+broadphase either.  A hit lies on both segments (up to a 1e-7 fraction of
+their length), so both boxes hold it.  The guard fires on segments whose
+start points are within 2e-2 on each axis, and boxes holding such start
+points overlap once each is padded by more than 1e-2.
 
-The exact test works on blocks of _CHUNK x _CHUNK cells, one segment pair
-per cell, but its arithmetic is that of a test of one pair at a time: the
+The exact test's arithmetic is that of a test of one pair at a time: the
 same float64 expressions on the same operands, with the same tolerances.
 det, the start-point differences and s are computed on every cell, t only
-where det is nonzero (|det| > 1e-12) and s is in range, and the
-near-parallel guard only where det is not.  Elementwise float64
-arithmetic does not depend on how cells are grouped, so every crossing is
-bit-identical to that of a dense test over every pair.
+where det is nonzero (|det| > 1e-12) and s is in range, and the guard only
+where det is not.  Elementwise float64 arithmetic does not depend on how
+cells are grouped, so every crossing is bit-identical to that of a dense
+test over every pair.
 
 A chart is rejected for the first problem a pair-by-pair scan over curve
 pairs (x, y), x <= y, would meet: the pair's first borderline hit (too
 close to a sample point, or matched depths) in (i, j) order, else its
-near-parallel guard.  All pairs of curve x are settled before curve x + 1
-is tested, so a rejected chart stops at the first curve with a problem.
+near-parallel guard.  Each group is settled in that order in one pass
+before the next is swept.  Every pair (x, y) with x in an earlier group
+was clean, so a rejected chart stops at its first group with a problem.
 
 Two orientation conventions are supported.  "ccw" traverses every oval
 counterclockwise in the z-plane, matching the winding bookkeeping of the
@@ -77,9 +80,10 @@ _MAX_SAMPLES = 1 << 15  # samples per oval at most
 # Broadphase of the crossing scan; see the module docstring.
 _CHUNK = 8  # consecutive segments per box
 _PAD = 0.015  # added on every side of a box
-_BATCH = 2048  # chunk pairs per exact-test batch, at most 2048 * 64 cells
+_BATCH = 256  # chunk pairs per exact-test batch, at most 256 * 64 cells
+_GROUP = 1 << 17  # overlap-block entries a group of several curves stays within
 # Chunk pairs in one overlap block at most, (_MAX_SAMPLES / _CHUNK)^2 bools
-# (16 MiB); a curve's rows meet the later chunks in column steps that fit.
+# (16 MiB); a lone curve's rows meet the later chunks in column steps that fit.
 _NEAR_BLOCK = (_MAX_SAMPLES // _CHUNK) ** 2
 # Smallest radius auto_geometry places.  A chain given without geometry
 # projects at depth 15 (radius 1.0e-7) and at depth 16 (3.5e-8) no chart is
@@ -222,12 +226,13 @@ def _project(curves: list[tuple[int, np.ndarray]], pole: np.ndarray,
     return out
 
 
-def _cell_segments(cell: np.ndarray, bi: np.ndarray, bj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _cell_segments(cell: np.ndarray, bi: np.ndarray, bj: np.ndarray,
+                   u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Segment indices (i, j) of the flat cells ``cell`` of an exact-test
-    batch: cell [u, v, k] tests segment u of chunk bi[k] against segment v
+    job: cell [p, k] tests segment u[p] of chunk bi[k] against segment v[p]
     of chunk bj[k]."""
-    uv, k = np.divmod(cell, len(bi))
-    return bi[k] * _CHUNK + uv // _CHUNK, bj[k] * _CHUNK + uv % _CHUNK
+    p, k = np.divmod(cell, len(bi))
+    return bi[k] * _CHUNK + u[p], bj[k] * _CHUNK + v[p]
 
 
 def _scan(proj: list[tuple[int, np.ndarray]]) -> list[tuple]:
@@ -241,17 +246,18 @@ def _scan(proj: list[tuple[int, np.ndarray]]) -> list[tuple]:
 
     Raises _RetryProjection on the first problem in that order: for each
     pair of curves, its first borderline hit in (i, j) order, else its
-    near-parallel close segments.  The pairs of curve x are settled before
-    curve x + 1 is scanned.  Only segment pairs whose chunks' padded boxes
-    overlap are tested; see the module docstring for why no hit and no
-    guard is lost."""
+    near-parallel close segments.  The curves are scanned in groups of
+    consecutive curves, each settled before the next is scanned.  Only
+    segment pairs whose chunks' padded boxes overlap are tested; see the
+    module docstring for why no hit and no guard is lost."""
     sizes = [len(p) for _, p in proj]
     # parametrize gives every curve a multiple of 64 samples, so no chunk
     # straddles two curves
     assert all(n % _CHUNK == 0 for n in sizes)
     first = np.cumsum([0] + sizes)
+    start = first // _CHUNK  # first chunk of each curve
     p0 = np.concatenate([p for _, p in proj])
-    p1 = np.concatenate([np.roll(p, -1, axis=0) for _, p in proj])
+    p1 = np.concatenate([q for _, p in proj for q in (p[1:], p[:1])])  # segment end points
     tangent = p1[:, :2] - p0[:, :2]
     # padded chunk boxes, one array per side and axis
     lox, loy = (np.minimum(p0[:, k], p1[:, k]).reshape(-1, _CHUNK).min(axis=1) - _PAD for k in (0, 1))
@@ -260,60 +266,69 @@ def _scan(proj: list[tuple[int, np.ndarray]]) -> list[tuple]:
     # chunk axis is last so the exact test runs along long contiguous rows
     chunks = np.stack([p0[:, 0], p0[:, 1], tangent[:, 0], tangent[:, 1]]).reshape(4, -1, _CHUNK)
     chunks = np.ascontiguousarray(chunks.transpose(0, 2, 1))
-    owner = np.repeat(np.arange(len(proj)), np.array(sizes, dtype=int) // _CHUNK)
+    owner = np.repeat(np.arange(len(proj)), np.diff(start))  # curve of each chunk
     nchunks = len(lox)
+    # cells (u, v) of an exact-test job, broadcasting to its cell shape, then flat:
+    # all 64 of a chunk pair, or the 21 with v >= u + 2 of a chunk against itself
+    square = (np.arange(_CHUNK)[:, None], np.arange(_CHUNK)) + np.divmod(np.arange(_CHUNK ** 2), _CHUNK)
+    triangle = 2 * np.nonzero(np.triu(np.ones((_CHUNK, _CHUNK), dtype=bool), 2))
     eps = 1e-6
     results = []
-    for x, n in enumerate(sizes):
-        r0, r1 = first[x] // _CHUNK, first[x + 1] // _CHUNK
+    x1 = 0
+    while x1 < len(proj):
+        # the next group of whole curves, chunk rows r0 to r1
+        r0, x1 = start[x1], x1 + 1
+        while x1 < len(proj) and (start[x1 + 1] - r0) * (nchunks - r0) <= _GROUP:
+            x1 += 1
+        r1 = start[x1]
         step = _NEAR_BLOCK // (r1 - r0)
         found = []  # (global i, global j, s, t) of each hit
-        close_j = []  # global j of each near-parallel close cell
+        close_cells = []  # (global i, global j) of each near-parallel close cell
         for c0 in range(r0, nchunks, step):
-            c1 = min(c0 + step, nchunks)
-            rows, cols = slice(r0, r1), slice(c0, c1)
+            rows, cols = slice(r0, r1), slice(c0, c0 + step)
             near = ((lox[rows, None] <= hix[cols]) & (lox[cols] <= hix[rows, None])
                     & (loy[rows, None] <= hiy[cols]) & (loy[cols] <= hiy[rows, None]))
-            # chunk pairs ci <= cj: curve x's upper triangle, later curves whole
-            ci, cj = np.nonzero(np.triu(near, r0 - c0))
-            ci += r0
-            cj += c0
-            for start in range(0, len(ci), _BATCH):
-                bi, bj = ci[start:start + _BATCH], cj[start:start + _BATCH]
-                # cells [u, v, k]; see _cell_segments
-                ax, ay, adx, ady = np.take(chunks, bi, axis=2)[:, :, None]
-                bx, by, bdx, bdy = np.take(chunks, bj, axis=2)[:, None]
-                det = adx * bdy - ady * bdx
+            # chunk pairs ci < cj: the group above the diagonal, later curves whole
+            ci, cj = np.nonzero(np.triu(near, r0 - c0 + 1))
+            jobs = [(ci[k:k + _BATCH] + r0, cj[k:k + _BATCH] + c0, square) for k in range(0, len(ci), _BATCH)]
+            if c0 == r0:  # each chunk against itself, so every group has one job at least
+                jobs.append((np.arange(r0, r1), np.arange(r0, r1), triangle))
+            for bi, bj, (u, v, uf, vf) in jobs:
+                # cells [u, v, k] or [p, k]; see _cell_segments
+                ax, ay, adx, ady = np.take(chunks, bi, axis=2)[:, u]
+                bx, by, bdx, bdy = np.take(chunks, bj, axis=2)[:, v]
+                det = adx * bdy
+                det -= ady * bdx
                 diff0 = bx - ax
                 diff1 = by - ay
+                s = diff0 * bdy
+                s -= diff1 * bdx
                 with np.errstate(divide="ignore", invalid="ignore"):
-                    s = (diff0 * bdy - diff1 * bdx) / det
+                    s /= det
                 ok = np.abs(det) > 1e-12
                 cell = np.flatnonzero(ok & (s > -1e-7) & (s < 1 + 1e-7))
-                i, j = _cell_segments(cell, bi, bj)
+                i, j = _cell_segments(cell, bi, bj, uf, vf)
                 t = (diff0.take(cell) * tangent[i, 1] - diff1.take(cell) * tangent[i, 0]) / det.take(cell)
                 keep = (t > -1e-7) & (t < 1 + 1e-7)
                 found.append((i[keep], j[keep], s.take(cell[keep]), t[keep]))
                 # near-parallel overlapping segments that produced no solvable hit
                 cell = np.flatnonzero(~ok)
                 cell = cell[(np.abs(diff0.take(cell)) < 2e-2) & (np.abs(diff1.take(cell)) < 2e-2)]
-                i, j = _cell_segments(cell, bi, bj)
-                same = owner[j // _CHUNK] == x
-                close_j.append(j[~same | ((np.abs(i - j) > 1) & (np.abs(i - j) < n - 1))])
-        # every chunk's box meets itself, so each list holds one batch at least
+                close_cells.append(_cell_segments(cell, bi, bj, uf, vf))
         gi, gj, hit_s, hit_t = (np.concatenate(col) for col in zip(*found))
-        hit_y = owner[gj // _CHUNK]
-        li, lj = gi - first[x], gj - first[x]
-        gap = (lj - li) % n
-        keep = (hit_y != x) | ((gap != 0) & (gap != 1) & (gap != n - 1) & (li <= lj))
-        gi, gj, hit_s, hit_t, hit_y = gi[keep], gj[keep], hit_s[keep], hit_t[keep], hit_y[keep]
-        close = np.concatenate(close_j)
-        # the first curve y whose pair with x has near-parallel close segments
-        parallel_y = owner[close // _CHUNK].min() if len(close) else len(proj)
-        # in (y, i, j) order, up to the pair of the first near-parallel one
-        order = np.lexsort((gj, gi, hit_y))
-        order = order[hit_y[order] <= parallel_y]
-        gi, gj, hit_s, hit_t, hit_y = gi[order], gj[order], hit_s[order], hit_t[order], hit_y[order]
+        i, j = (np.concatenate(col) for col in zip((gi, gj), *close_cells))
+        # curve pair x * len(proj) + y of each hit, then of each close cell;
+        # -1 for neighbours on one curve (every cell has i < j)
+        x, y = owner[i // _CHUNK], owner[j // _CHUNK]
+        pair = np.where((x == y) & ((j - i == 1) | (j - i == np.diff(first)[x] - 1)), -1, x * len(proj) + y)
+        pair, close = pair[:len(gi)], pair[len(gi):]
+        # the first curve pair with near-parallel close segments
+        parallel = close[close >= 0].min(initial=len(proj) ** 2)
+        # in (x, y, i, j) order, up to that pair
+        order = np.lexsort((gj, gi, pair))
+        order = order[(pair[order] >= 0) & (pair[order] <= parallel)]
+        gi, gj, hit_s, hit_t = (a[order] for a in (gi, gj, hit_s, hit_t))
+        hit_x, hit_y = np.divmod(pair[order], len(proj))
         at_sample = (hit_s < eps) | (hit_s > 1 - eps) | (hit_t < eps) | (hit_t > 1 - eps)
         depth_x = p0[gi, 2] + hit_s * (p1[gi, 2] - p0[gi, 2])
         depth_y = p0[gj, 2] + hit_t * (p1[gj, 2] - p0[gj, 2])
@@ -321,14 +336,14 @@ def _scan(proj: list[tuple[int, np.ndarray]]) -> list[tuple]:
         if len(bad):
             raise _RetryProjection("crossing too close to a sample point" if at_sample[bad[0]]
                                    else "matched depths at a crossing")
-        if parallel_y < len(proj):
+        if parallel < len(proj) ** 2:
             raise _RetryProjection("near-parallel segments")
         x_over = depth_x > depth_y
         # sign pinned so a +1 winding fiber pair links +1: -(over x under).
         # tangent[gi] x tangent[gj] is the hit's det (never 0), negated if y is over
         turn = tangent[gi, 0] * tangent[gj, 1] - tangent[gi, 1] * tangent[gj, 0]
         sign = np.where((turn > 0) == x_over, -1, 1)
-        results += zip([x] * len(gi), hit_y.tolist(), ((gi - first[x]) + hit_s).tolist(),
+        results += zip(hit_x.tolist(), hit_y.tolist(), ((gi - first[hit_x]) + hit_s).tolist(),
                        ((gj - first[hit_y]) + hit_t).tolist(), x_over.tolist(), sign.tolist())
     return results
 

@@ -299,8 +299,10 @@ def test_broadphase_scan_matches_dense_reference_on_fixtures(fixtures_dir):
 
 
 def test_scan_in_narrow_column_steps_matches_dense_reference(monkeypatch):
-    # 100 chunk pairs per overlap block: a curve's 32-56 chunk rows meet the
-    # chunks of its own and later curves 1-3 columns at a time
+    # one curve per group and 100 chunk pairs per overlap block: a curve's
+    # 32-56 chunk rows meet the chunks of its own and later curves 1-3
+    # columns at a time
+    monkeypatch.setattr(embed, "_GROUP", 0)
     monkeypatch.setattr(embed, "_NEAR_BLOCK", 100)
     forests = _criterion7_forests(168)
     outcomes = []
@@ -308,6 +310,41 @@ def test_scan_in_narrow_column_steps_matches_dense_reference(monkeypatch):
         outcomes += _compare_scans(forests[k], "ccw", 1, k, 2)
     assert any(isinstance(o, list) and o for o in outcomes)
     assert "retry: near-parallel segments" in outcomes
+
+
+def _first_problem_curve(proj):
+    """Curve x of the first curve pair (x, y) whose dense test rejects the
+    chart, or None."""
+    for x in range(len(proj)):
+        for y in range(x, len(proj)):
+            try:
+                dense_segment_crossings(proj[x][1], proj[y][1], x == y)
+            except _RetryProjection:
+                return x
+    return None
+
+
+def test_scan_in_one_curve_groups_matches_dense_reference(monkeypatch):
+    # a group budget below every curve's overlap block: each group is one
+    # curve, settled before the next curve is swept
+    monkeypatch.setattr(embed, "_GROUP", 0)
+    forests = _criterion7_forests(168)
+    outcomes, later = [], []
+    for k in (0, 1, 2, 167):
+        curves = parametrize(auto_geometry(forests[k]), "ccw", 1)
+        for attempt in range(2):
+            try:
+                proj = _project(curves, *_chart(k, attempt))
+            except _RetryProjection:
+                continue
+            got = _outcome(_scan, proj)
+            assert got == _outcome(dense_scan, proj), (k, attempt)
+            outcomes.append(got)
+            if got == "retry: near-parallel segments":
+                later.append(_first_problem_curve(proj))
+    assert any(isinstance(o, list) and o for o in outcomes)
+    # rejected in a group after the first
+    assert any(x > 0 for x in later), later
 
 
 def _rectangle(x0, x1, y0, y1, per_side, depth):
@@ -365,6 +402,42 @@ AT_SAMPLE = "crossing too close to a sample point"
 def test_first_rejection_is_that_of_the_first_curve_pair(curves, reason):
     proj = list(enumerate(curves, start=1))
     assert _outcome(dense_scan, proj) == _outcome(_scan, proj) == "retry: " + reason
+
+
+def test_a_rejected_chart_stops_at_its_first_problem_group(monkeypatch):
+    # TOP and MIDDLE are near-parallel; 30 small squares far away follow.  A
+    # group budget of exactly the first two curves' block (32 chunk rows
+    # against 32 + 30 * 8 chunks) puts them alone in the first group.
+    far = [_rectangle(5.0 + k, 5.1 + k, 5.0, 5.1, 16, 3.0) for k in range(30)]
+    proj = list(enumerate([TOP, MIDDLE] + far, start=1))
+    monkeypatch.setattr(embed, "_GROUP", 32 * (32 + 30 * 8))
+    rows = []
+    real = embed._cell_segments
+
+    def spy(cell, bi, *rest):
+        rows.append(bi)
+        return real(cell, bi, *rest)
+
+    monkeypatch.setattr(embed, "_cell_segments", spy)
+    assert _outcome(_scan, proj) == "retry: " + NEAR_PARALLEL
+    # every chunk pair that reached the exact test has its row in curve 0 or 1
+    assert rows and max(r.max(initial=0) for r in rows) < 32
+
+
+def test_a_near_parallel_pair_two_apart_inside_one_chunk_is_rejected():
+    # segments 1, (0, 0) -> (0.01, 0), and 3, (0.01, 0.01) -> (0, 0.01), are
+    # parallel with start points 0.01 apart: both in chunk 0, so only the
+    # triangle of cells v >= u + 2 of chunk 0 against itself holds them
+    pts = [(0, -1), (0, 0), (0.01, 0), (0.01, 0.01), (0, 0.01), (-0.5, 1), (-1, 0.5), (-1.2, 0),
+           (-1, -0.7), (-0.6, -1.3), (-0.2, -1.6), (0.3, -1.7), (0.8, -1.4), (1, -0.9), (0.7, -0.5),
+           (0.3, -0.9)]
+    curve = np.column_stack([np.array(pts, dtype=float), np.arange(len(pts), dtype=float)])
+    for scan in (dense_scan, _scan):
+        assert _outcome(scan, [(1, curve)]) == "retry: " + NEAR_PARALLEL
+    # tilting segment 3 leaves a curve with no crossing and no other close pair
+    curve[4, 1] += 1e-3
+    for scan in (dense_scan, _scan):
+        assert _outcome(scan, [(1, curve)]) == []
 
 
 def test_a_self_crossing_inside_one_chunk_is_found_once():
