@@ -322,7 +322,8 @@ def parse_kb(text: str) -> list[LinkRecord]:
     Every stanza starts with ``link NAME`` and carries indented-or-not
     property lines until the next stanza.  Unknown keys are an error, and
     so is a second line of a key other than ``axiom`` and ``expect`` in one
-    stanza; the format is deliberately small.
+    stanza, or a second ``expect`` for one class; the format is
+    deliberately small.
     """
     records: list[LinkRecord] = []
     cur: dict | None = None  # LinkRecord fields given so far
@@ -382,7 +383,9 @@ def parse_kb(text: str) -> list[LinkRecord]:
                 if len(args) not in (2, 3) or args[0] not in CLASSES or args[1] not in _VERDICTS:
                     raise ClassifyError("bad expectation %r" % " ".join([key, *args]))
                 letters = _parse_letterset(args[2]) if len(args) == 3 else frozenset()
-                cur.setdefault("expected", {})[args[0]] = CellExpectation(args[1], letters)
+                if args[0] in cur.setdefault("expected", {}):
+                    raise ClassifyError("expect %s given twice" % args[0])
+                cur["expected"][args[0]] = CellExpectation(args[1], letters)
             else:
                 raise ClassifyError("unknown key %r" % key)
         except (ClassifyError, ParseError, ValueError) as e:

@@ -1,9 +1,8 @@
-"""Text formats: braid words, two-variable skein polynomials, planar
-diagrams, and oval forest files.
+"""Text formats: braid words, planar diagrams and oval forest files are
+read and written; two-variable skein polynomials are only written, since
+no command reads one.
 
-All parsers report positions.  The polynomial grammar accepts the usual
-hand-written shapes: ``2-3*v^2 + v^4 + z^(-2)-(2*v^2)/z^2`` as well as
-``-3/v^6 + 1/(v^8*z^2)`` and bare negative exponents like ``z^-2``.
+All parsers report positions.
 """
 
 from __future__ import annotations
@@ -39,6 +38,8 @@ def line_words(text: str) -> Iterator[tuple[int, list[str]]]:
             yield lineno, words
 
 
+# ``*/^()`` belong to no format read here; as symbols they keep BR and PD
+# errors in the "expected X, found '*'" form
 _SYMBOLS = "+-*/^(){}[],"
 
 
@@ -98,14 +99,6 @@ class _Tokens:
             raise ParseError("trailing input %r" % (v or k), l, c)
 
 
-def _decimal(v: str, l: int, c: int) -> int:
-    """A digit run's value; int() refuses one past Python's int-string limit."""
-    try:
-        return int(v)
-    except ValueError:
-        raise ParseError("integer of %d digits is too long" % len(v), l, c) from None
-
-
 def _int(tk: _Tokens) -> int:
     neg = False
     if tk.at("sym", "-"):
@@ -113,7 +106,11 @@ def _int(tk: _Tokens) -> int:
         neg = True
     elif tk.at("sym", "+"):
         tk.next()
-    v = _decimal(*tk.expect("int"))
+    digits, l, c = tk.expect("int")
+    try:  # int() refuses a digit run past Python's int-string limit
+        v = int(digits)
+    except ValueError:
+        raise ParseError("integer of %d digits is too long" % len(digits), l, c) from None
     return -v if neg else v
 
 
@@ -148,97 +145,6 @@ def render_braid(b: BraidWord) -> str:
 
 
 # -- skein polynomials -------------------------------------------------------
-
-
-def parse_poly(text: str) -> LaurentPoly2:
-    tk = _Tokens(text)
-    p = _poly_expr(tk)
-    tk.done()
-    return p
-
-
-def _poly_expr(tk: _Tokens) -> LaurentPoly2:
-    if tk.at("sym", "-"):
-        tk.next()
-        acc = -_poly_term(tk)
-    else:
-        if tk.at("sym", "+"):
-            tk.next()
-        acc = _poly_term(tk)
-    while tk.at("sym", "+") or tk.at("sym", "-"):
-        _, op, _, _ = tk.next()
-        t = _poly_term(tk)
-        acc = acc - t if op == "-" else acc + t
-    return acc
-
-
-def _poly_term(tk: _Tokens) -> LaurentPoly2:
-    acc = _poly_factor(tk)
-    while tk.at("sym", "*") or tk.at("sym", "/"):
-        _, op, l, c = tk.next()
-        rhs = _poly_factor(tk)
-        if op == "*":
-            acc = acc * rhs
-        else:
-            acc = _poly_div(acc, rhs, l, c)
-    return acc
-
-
-def _poly_div(num: LaurentPoly2, den: LaurentPoly2, l: int, c: int) -> LaurentPoly2:
-    terms = list(den.terms.items())
-    if len(terms) != 1:
-        raise ParseError("can only divide by a single monomial", l, c)
-    (dv, dz), coeff = terms[0]
-    shifted = num.shift(-dv, -dz)
-    out = {}
-    for key, val in shifted.terms.items():
-        if val % coeff:
-            raise ParseError("non-integer coefficient in division", l, c)
-        out[key] = val // coeff
-    return LaurentPoly2(out)
-
-
-def _poly_factor(tk: _Tokens) -> LaurentPoly2:
-    base = _poly_atom(tk)
-    if tk.at("sym", "^"):
-        _, _, l, c = tk.next()
-        e = _poly_exponent(tk)
-        if e >= 0:
-            return base ** e
-        terms = list(base.terms.items())
-        if len(terms) != 1 or terms[0][1] not in (1, -1):
-            raise ParseError("negative power needs a monomial base", l, c)
-        (dv, dz), coeff = terms[0]
-        return LaurentPoly2({(-dv, -dz): coeff}) ** -e
-    return base
-
-
-def _poly_exponent(tk: _Tokens) -> int:
-    if tk.at("sym", "("):
-        tk.next()
-        e = _int(tk)
-        tk.expect("sym", ")")
-        return e
-    return _int(tk)
-
-
-def _poly_atom(tk: _Tokens) -> LaurentPoly2:
-    k, v, l, c = tk.peek()
-    if k == "int":
-        tk.next()
-        return LaurentPoly2.const(_decimal(v, l, c))
-    if k == "name" and v == "v":
-        tk.next()
-        return LaurentPoly2.monomial(1, 1, 0)
-    if k == "name" and v == "z":
-        tk.next()
-        return LaurentPoly2.monomial(1, 0, 1)
-    if k == "sym" and v == "(":
-        tk.next()
-        p = _poly_expr(tk)
-        tk.expect("sym", ")")
-        return p
-    raise ParseError("expected a number, v, z, or parenthesis, found %r" % (v or k), l, c)
 
 
 def render_poly(p: LaurentPoly2) -> str:

@@ -7,10 +7,12 @@ own, trying every component subset for a sublink of zero linking,
 rewriting braid words letter by letter, sweeping Garside factors
 until nothing changes, acting on the free group,
 eliminating the Seifert form over the rationals, orienting PD input by
-local rules, scanning text one character at a time) so that a test can
-compare the two.
+local rules, scanning text one character at a time, reading polynomial
+text with Python's own parser) so that a test can compare the two.
 """
 
+import ast
+import operator
 from fractions import Fraction
 
 from cbound.braids import BraidWord, NormalForm, _gen_perm, pinv, pmul, seifert_matrix_of_closure
@@ -480,3 +482,51 @@ def reference_tokens(text: str) -> list[tuple[str, str, int, int]]:
             continue
         raise ParseError("unexpected character %r" % ch, line, col)
     return toks
+
+
+# -- polynomial text by Python's own parser -----------------------------------
+
+_RING = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul}
+
+
+def read_poly(text: str) -> LaurentPoly2:
+    """A skein polynomial from hand-written text such as
+    ``2-3*v^2 + z^(-2)-(2*v^2)/z^2`` or ``-3/v^6 + 1/(v^8*z^2)``.
+
+    Python parses the text once ``^`` is written ``**``.  Only int
+    constants, v, z, unary +/-, ``+ - *``, exact division by a monomial
+    and powers with an int literal exponent are evaluated, a negative one
+    only on a +/-1 monomial; any other node raises ValueError.
+    """
+    return _poly_of(ast.parse(text.replace("^", "**"), mode="eval").body)
+
+
+def _poly_of(node: ast.expr) -> LaurentPoly2:
+    if isinstance(node, ast.Constant) and type(node.value) is int:
+        return LaurentPoly2.const(node.value)
+    if isinstance(node, ast.Name) and node.id in ("v", "z"):
+        return LaurentPoly2.monomial(1, int(node.id == "v"), int(node.id == "z"))
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
+        p = _poly_of(node.operand)
+        return -p if isinstance(node.op, ast.USub) else p
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+        lit = node.right.operand if isinstance(node.right, ast.UnaryOp) else node.right
+        if not (isinstance(lit, ast.Constant) and type(lit.value) is int):
+            raise ValueError("not an int literal exponent: %s" % ast.unparse(node.right))
+        e, base = _poly_of(node.right).terms.get((0, 0), 0), _poly_of(node.left)
+        return base ** e if e >= 0 else _divide(LaurentPoly2.const(1), base ** -e)
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div):
+        return _divide(_poly_of(node.left), _poly_of(node.right))
+    if isinstance(node, ast.BinOp) and type(node.op) in _RING:
+        return _RING[type(node.op)](_poly_of(node.left), _poly_of(node.right))
+    raise ValueError("not a polynomial: %s" % ast.unparse(node))
+
+
+def _divide(num: LaurentPoly2, den: LaurentPoly2) -> LaurentPoly2:
+    if len(den.terms) != 1:
+        raise ValueError("can only divide by a monomial")
+    [((dv, dz), c)] = den.terms.items()
+    quot = {(a - dv, b - dz): divmod(k, c) for (a, b), k in num.terms.items()}
+    if any(r for _, r in quot.values()):
+        raise ValueError("inexact division")
+    return LaurentPoly2({key: q for key, (q, _) in quot.items()})

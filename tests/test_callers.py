@@ -3,9 +3,10 @@
 A name counts as used when it appears as a name, an attribute of a cbound
 module (``braids.f``, ``api.braids.f``, ``cbound.braids.f``), an imported
 name, or a string holding a name or a dotted path (the benchmark's tracer
-lists functions that way) in ``src/``, ``bench/``, the acceptance gate or
-the test configuration.  Unit tests alone do not keep a function alive:
-oracles that only tests need live in ``tests/oracles.py``.
+lists functions that way) in ``src/``, ``bench/`` or the acceptance gate.
+Unit tests alone do not keep a function alive, and neither does the test
+configuration, which only reads fixtures for them: oracles and readers that
+only tests need live in ``tests/oracles.py``.
 """
 
 import ast
@@ -17,7 +18,6 @@ PACKAGE = ROOT / "src" / "cbound"
 MODULES = {path.stem for path in PACKAGE.glob("*.py")}
 USERS = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "bench").glob("*.py")) + [
     ROOT / "tests" / "test_acceptance.py",
-    ROOT / "tests" / "conftest.py",
 ]
 
 

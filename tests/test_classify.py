@@ -91,6 +91,11 @@ def test_parse_kb_rejects_a_repeated_single_valued_key(line):
         parse_kb("link A\nbraid BR[2,{1,1}]\n%s\n%s\n" % (line, line))
 
 
+def test_parse_kb_rejects_a_second_expect_for_one_class():
+    with pytest.raises(ClassifyError, match="^kb line 4: expect Q given twice$"):
+        parse_kb("link A\nbraid BR[2,{1,1}]\nexpect Q yes -\nexpect Q no -\n")
+
+
 def test_parse_kb_lets_axiom_and_expect_repeat():
     rec = parse_kb("link A\nbraid BR[2,{1,1}]\naxiom Q yes a\naxiom SB no b\n"
                    "expect Q yes\nexpect SB no b\n")[0]

@@ -403,7 +403,7 @@ def test_report_matches_golden_stdout(capsys, monkeypatch, args, golden):
 
 def test_every_golden_is_in_the_manifest_once(fixtures_dir):
     on_disk = sorted(p.relative_to(ROOT).as_posix() for p in fixtures_dir.rglob("*.out"))
-    assert len(on_disk) == 65
+    assert len(on_disk) == 73
     assert sorted(golden for _, golden in GOLDENS) == on_disk
 
 
