@@ -390,6 +390,8 @@ def parse_kb(text: str) -> list[LinkRecord]:
                 raise ClassifyError("unknown key %r" % key)
         except (ClassifyError, ParseError, ValueError) as e:
             raise ClassifyError("kb line %d: %s" % (lineno, e)) from None
+    if cur is None:
+        raise ClassifyError("kb has no link stanza")
     flush()
     _validate_records(records)
     return records

@@ -2,9 +2,9 @@
 
 One subcommand per pipeline stage, each taking only the options it reads.
 Exit codes: 0 success, 1 bad input or usage, 2 computation budget
-exceeded, 3 fixture or certificate mismatch.
+exceeded, 3 fixture or certificate mismatch.  Oval errors are OvalError.
 Diagnostics go to stderr; the report stream stays machine-friendly under
---machine (one key=value per line).
+--machine (one key=value per line).  Only `ovals embed` loads numpy.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from .classify import (
     table1_report,
 )
 from .diagrams import Diagram, DiagramError, from_braid, linking_matrix
-from .embed import EmbedError, linking_by_id, oval_link_pd, render_svg
 from .homfly import DEFAULT_SKEIN_BUDGET, HECKE_MAX_STRANDS, BudgetExceeded, fwm_obstruction, homfly, homfly_braid
 from .notation import ParseError, line_words, parse_braid, parse_ovals, parse_pd, render_braid, render_pd, render_poly
 from .splice import (
@@ -156,7 +155,8 @@ def cmd_qp_verify(args) -> int:
         found[key] = lineno, " ".join(rest)
     for key in ("braid", "factors"):
         if key not in found:
-            raise ClassifyError("certificate ends at line %d without a %s line" % (len(text.splitlines()), key))
+            raise ClassifyError("certificate ends at line %d without a %s line" % (len(text.splitlines()), key)
+                                if text else "certificate is empty")
     lineno, rest = found["braid"]
     try:
         braid = parse_braid(rest)
@@ -225,11 +225,14 @@ def cmd_ovals(args) -> int:
             print(render_splice(sd))
         _emit_matrix(args, mat, labels)
         return 0
-    # embed
-    proj = oval_link_pd(forest, args.orientation, args.seed, args.samples_scale)
-    diag, ids = proj
+    from .embed import linking_by_id, oval_link_pd, render_svg
+    diag, ids = proj = oval_link_pd(forest, args.orientation, args.seed, args.samples_scale)
     labels, mat = linking_by_id(diag, ids)
     p = homfly(diag, args.skein_budget)
+    if args.svg:  # before any report line, so that a failed write prints none
+        with open(args.svg, "w") as fh:
+            fh.write(render_svg(proj))
+        print("svg written to %s" % args.svg, file=sys.stderr)
     if args.machine:
         print("pd=%s" % render_pd(diag))
         print("components=%s" % ",".join(str(i) for i in ids))
@@ -238,10 +241,6 @@ def cmd_ovals(args) -> int:
         print("component order: %s" % " ".join(str(i) for i in ids))
     _emit_matrix(args, mat, labels)
     _emit_poly(args, p)
-    if args.svg:
-        with open(args.svg, "w") as fh:
-            fh.write(render_svg(proj))
-        print("svg written to %s" % args.svg, file=sys.stderr)
     return 0
 
 
@@ -345,7 +344,7 @@ def main(argv=None) -> int:
     except BudgetExceeded as e:
         print("budget exceeded: %s" % e, file=sys.stderr)
         return 2
-    except (ParseError, ClassifyError, OvalError, EmbedError, BraidError, DiagramError) as e:
+    except (ParseError, ClassifyError, OvalError, BraidError, DiagramError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 1
     except BrokenPipeError:

@@ -11,7 +11,9 @@ scan decides each crossing (the strand at the greater depth is over, and
 the plane tangents give the sign); the diagram only numbers the arcs.
 Degenerate projections (crossing too close to a sample point, matched
 depths, near-parallel hits, pole on the link) are rejected and retried
-with a fresh chart deterministically derived from the seed.
+with a fresh chart deterministically derived from the seed.  Errors are
+splice.OvalError, as in the rest of the oval pipeline.  This is the only
+module that imports numpy; the command line imports it in `ovals embed`.
 
 The crossing scan (_scan) runs once per chart over all curves.  Each
 polygon's segments are cut into chunks of _CHUNK consecutive segments;
@@ -64,10 +66,6 @@ import numpy as np
 
 from .diagrams import Diagram, linking_matrix
 from .splice import Oval, OvalForest, OvalError
-
-
-class EmbedError(RuntimeError):
-    pass
 
 
 class _RetryProjection(Exception):
@@ -170,20 +168,20 @@ def parametrize(forest: OvalForest, orientation: str = "ccw",
     Returns (oval id, points) pairs in id order; points are rows
     (Re z, Im z, Re w, Im w).  Each oval gets
     max(256, 64 * (1 + |winding|)) * samples_scale points; an oval that
-    would need more than _MAX_SAMPLES raises EmbedError.
+    would need more than _MAX_SAMPLES raises OvalError.
     """
     check_geometry(forest)
     if orientation not in ("ccw", "induced"):
         raise ValueError("orientation must be 'ccw' or 'induced'")
     if samples_scale < 1:
-        raise EmbedError("samples scale must be an integer >= 1, got %s" % samples_scale)
+        raise OvalError("samples scale must be an integer >= 1, got %s" % samples_scale)
     counts = {}
     for ident in forest.ids():
         a = forest.by_id(ident).winding
         counts[ident] = m = max(256, 64 * (1 + abs(a))) * samples_scale
         if m > _MAX_SAMPLES:
-            raise EmbedError("oval %d (winding %d) at samples scale %d needs %d samples, more than %d"
-                             % (ident, a, samples_scale, m, _MAX_SAMPLES))
+            raise OvalError("oval %d (winding %d) at samples scale %d needs %d samples, more than %d"
+                            % (ident, a, samples_scale, m, _MAX_SAMPLES))
     out = []
     for ident, m in counts.items():
         o = forest.by_id(ident)
@@ -411,8 +409,8 @@ def oval_link_pd(forest: OvalForest, orientation: str = "ccw", seed: int = 0,
             retries.append(str(exc))
             continue
         return Projection(diag, ids, proj, retries)
-    raise EmbedError("no generic projection found after %d charts: %s"
-                     % (_CHARTS, retries[-1] if retries else None))
+    raise OvalError("no generic projection found after %d charts: %s"
+                    % (_CHARTS, retries[-1] if retries else None))
 
 
 def linking_by_id(diag: Diagram, ids: list[int]) -> tuple[list[int], list[list[int]]]:

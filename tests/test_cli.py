@@ -1,5 +1,6 @@
 """Command line surface: outputs, exit codes, machine mode."""
 
+import json
 import os
 import pathlib
 import random
@@ -17,6 +18,7 @@ from cbound.notation import render_pd
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
+CHILD_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
 
 WERMER_BRAID = "BR[3,{1,2,1,1,2,1}]"
 
@@ -29,9 +31,8 @@ def run(capsys, *argv):
 
 def cli(*argv, timeout=60):
     """Run ``python -m cbound.cli`` in a fresh interpreter."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
     return subprocess.run([sys.executable, "-m", "cbound.cli", *argv], capture_output=True, text=True,
-                          env=env, timeout=timeout)
+                          env=CHILD_ENV, timeout=timeout)
 
 
 def test_homfly_literal(capsys):
@@ -259,6 +260,11 @@ _LOOP = "line 1, col 1: crossing X[1,2,3,2] is orientation-inconsistent: over st
                  "certificate line 2: braid given twice", id="qp-verify-braid-given-twice"),
     pytest.param(["qp-verify", "{file}"], "braid BR[3,{1,2,-1,-1,2,1}]\nfactors 1:2 -1:2\n# again\nfactors 1:2 -1:2\n",
                  "certificate line 4: factors given twice", id="qp-verify-factors-given-twice"),
+    # rows from here on carry ids, so that a new row leaves the generated ids above unchanged
+    pytest.param(["qp-verify", "{file}"], "", "certificate is empty", id="qp-verify-empty"),
+    # classify.parse_kb wants a link stanza, as parse_ovals wants an oval
+    pytest.param(["table1", "{file}"], "", "kb has no link stanza", id="kb-empty"),
+    pytest.param(["classify", "{file}"], "# only a comment\n", "kb has no link stanza", id="kb-comment-only"),
 ])
 def test_each_input_error_exits_1_with_one_error_line(capsys, tmp_path, argv, text, error):
     if text is not None:
@@ -296,6 +302,21 @@ def test_ovals_embed_svg(capsys, fixtures_dir, tmp_path):
     assert target.read_text().startswith("<svg")
 
 
+def test_ovals_embed_prints_nothing_when_the_svg_cannot_be_written(capsys, fixtures_dir, tmp_path):
+    code, out, err = run(capsys, "ovals", "embed", str(fixtures_dir / "hopf.ovals"),
+                         "--svg", str(tmp_path / "missing" / "out.svg"))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: [Errno 2] No such file or directory: ")
+
+
+def test_ovals_embed_that_finds_no_generic_chart_exits_1(capsys, tmp_path):
+    # a realizable fiberless forest whose chart seed 40812 and the 63 charts
+    # after it all have near-parallel segments
+    (tmp_path / "six.ovals").write_text("1 0 2\n2 1 3\n3 2 3\n4 3 0\n5 3 0\n6 0 -1\n")
+    assert run(capsys, "ovals", "embed", str(tmp_path / "six.ovals"), "--seed", "40812") == (
+        1, "", "error: no generic projection found after 64 charts: near-parallel segments\n")
+
+
 @pytest.mark.parametrize("scale", ["0", "-1"])
 def test_ovals_embed_rejects_samples_scale_below_one(capsys, fixtures_dir, scale):
     code, out, err = run(capsys, "ovals", "embed", str(fixtures_dir / "hopf.ovals"),
@@ -311,6 +332,39 @@ def test_ovals_embed_rejects_samples_beyond_the_cap(capsys, fixtures_dir):
     assert code == 1
     assert out == ""
     assert err.startswith("error: oval 1 (winding 1) at samples scale 100000 needs 25600000 samples")
+
+
+# every command but `ovals embed`, on inputs it accepts
+NO_EMBED = [
+    ["homfly", "BR[2,{1,1,1}]"],
+    ["homfly", "fixtures/appendix.pd"],
+    ["lk", "BR[3,{1,-2,1,2,-1,2}]"],
+    ["chi", "BR[3,{1,-2,-1,-1,-2}]"],
+    ["qp-verify", "fixtures/qp_wermer.qp"],
+    ["qp-obstruct", "BR[3,{1,-2,1,-2,1}]"],
+    ["classify", "fixtures/table1.kb"],
+    ["table1", "fixtures/table1.kb"],
+    ["ovals", "realize", "fixtures/wermer.ovals"],
+    ["ovals", "cable", "fixtures/wermer.ovals"],
+    ["ovals", "splice", "fixtures/wermer.ovals"],
+]
+
+
+def test_only_ovals_embed_imports_numpy():
+    # one fresh interpreter runs the commands in turn and reports, after each,
+    # its exit code and whether numpy has been imported
+    script = ("import contextlib, io, json, sys\n"
+              "from cbound.cli import main\n"
+              "seen = []\n"
+              "for argv in json.loads(sys.argv[1]):\n"
+              "    with contextlib.redirect_stdout(io.StringIO()):\n"
+              "        seen.append([argv, main(argv), 'numpy' in sys.modules])\n"
+              "print(json.dumps(seen))\n")
+    runs = NO_EMBED + [["ovals", "embed", "fixtures/hopf.ovals"]]
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(runs)], cwd=ROOT, env=CHILD_ENV,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[argv, 0, False] for argv in NO_EMBED] + [[runs[-1], 0, True]]
 
 
 def test_table1_clean(capsys, fixtures_dir):

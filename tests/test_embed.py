@@ -9,7 +9,6 @@ import pytest
 from cbound import embed
 from cbound.diagrams import linking_matrix
 from cbound.embed import (
-    EmbedError,
     _chart,
     _project,
     _RetryProjection,
@@ -91,14 +90,14 @@ def test_check_geometry_rejects_child_outside_parent():
 
 @pytest.mark.parametrize("scale", [0, -1])
 def test_parametrize_rejects_scale_below_one(scale):
-    with pytest.raises(EmbedError, match="samples scale"):
+    with pytest.raises(OvalError, match="samples scale"):
         parametrize(parse_ovals(HOPF_TEXT), samples_scale=scale)
 
 
 def test_parametrize_caps_samples_per_oval():
     f = parse_ovals(HOPF_TEXT)
     assert [len(points) for _, points in parametrize(f, samples_scale=128)] == [1 << 15] * 2
-    with pytest.raises(EmbedError, match=r"^oval 1 \(winding 1\) at samples scale 129 needs 33024 samples"):
+    with pytest.raises(OvalError, match=r"^oval 1 \(winding 1\) at samples scale 129 needs 33024 samples"):
         parametrize(f, samples_scale=129)
 
 
@@ -143,7 +142,7 @@ def test_svg_render_smoke():
 
 
 def test_bad_orientation_rejected():
-    with pytest.raises((EmbedError, ValueError)):
+    with pytest.raises(ValueError):
         oval_link_lk(parse_ovals(HOPF_TEXT), orientation="cw")
 
 
@@ -169,7 +168,7 @@ def test_projection_keeps_every_retry_reason(monkeypatch):
     assert sorted(ids) == forests[167].ids()
     assert [ident for ident, _ in proj.curves] == forests[167].ids()
     monkeypatch.setattr(embed, "_CHARTS", 5)
-    with pytest.raises(EmbedError, match="after 5 charts: near-parallel segments"):
+    with pytest.raises(OvalError, match="after 5 charts: near-parallel segments"):
         oval_link_pd(forests[167], seed=167)
 
 
