@@ -7,10 +7,9 @@ left to right.  Strand positions are 1-based in the public interface.
 
 from __future__ import annotations
 
-import heapq
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from heapq import heappop, heappush
 
 
 #: default work cap of the chi search (``chi_minus_lower_bound``), in units
@@ -366,6 +365,9 @@ class _Table:
     def shape(self, i: int) -> tuple:
         mags = self.mags[i]
         n = len(mags)
+        intern = self.intern
+        # each commute or relation target: this list edited, read, edited back
+        scratch = list(mags)
         pairs = 0
         commutes = []
         relations = []
@@ -374,31 +376,50 @@ class _Table:
             if a == b:
                 pairs |= 1 << t
             elif abs(a - b) > 1:
-                commutes.append((t, self.intern(mags[:t] + (b, a) + mags[t + 2 :])))
+                scratch[t], scratch[t + 1] = b, a
+                commutes.append((t, intern(tuple(scratch))))
+                scratch[t], scratch[t + 1] = a, b
             elif t < n - 2 and mags[t + 2] == a:
-                relations.append((t, self.intern(mags[:t] + (b, a, b) + mags[t + 3 :])))
+                scratch[t], scratch[t + 1], scratch[t + 2] = b, a, b
+                relations.append((t, intern(tuple(scratch))))
+                scratch[t], scratch[t + 1], scratch[t + 2] = a, b, a
         destab = _destab(mags)
         if destab is not None:
             dmags, order = destab
             moved = [0] * n
             for k, t in enumerate(order):
                 moved[t] = 1 << k
-            destab = self.intern(dmags), moved
-        rotated = self.intern(mags[1:] + mags[:1]) if n > 1 else None
+            destab = intern(dmags), moved
+        rotated = intern(mags[1:] + mags[:1]) if n > 1 else None
         shape = self.shapes[i] = n, pairs, destab, rotated, commutes, relations
         return shape
 
 
-def _moves(node: tuple[int, int, int], table: _Table):
+def _moves(node: tuple[int, int, int], table: _Table, cut: int | None = None):
     """Rewriting moves of a search node that never increase word length, as
     (move name, new node), flips first; the witness path for a
     flip-then-reduce simplification is then found in that order.  Only the
-    sign bits are computed here; the rest comes from ``table``."""
+    sign bits are computed here; the rest comes from ``table``.
+
+    With a ``cut``, a group of moves is left out when each of its children
+    reaches (``_reach``) no more than ``cut``.  The flips are one group:
+    their children keep the length and have one negative letter fewer.
+    Rotate, commute and relation are another: their children keep the
+    node's length and sign count, so they share its reach.  The other moves
+    are always yielded.  The search passes its best score, so a left-out
+    child is one it would drop anyway, as it drops each child whose reach
+    is no more than the best."""
     strands, i, neg = node
     n, pairs, destab, rotated, commutes, relations = table.shapes[i] or table.shape(i)
+    flips = same = True
+    if cut is not None:
+        k = neg.bit_count()
+        flips = _reach(strands, n, k - 1) > cut
+        # a flip's child reaches no more than the node
+        same = flips or _reach(strands, n, k) > cut
     # sign flips sigma^-1 -> sigma (sound for lower bounds, see chi search),
     # clearing the set bits from low to high
-    rest = neg
+    rest = neg if flips else 0
     while rest:
         low = rest & -rest
         yield "flip", (strands, i, neg ^ low)
@@ -416,6 +437,8 @@ def _moves(node: tuple[int, int, int], table: _Table):
             dneg |= moved[low.bit_length() - 1]
             rest ^= low
         yield "destab", (strands - 1, d, dneg)
+    if not same:
+        return
     if rotated is not None:
         yield "rotate", (strands, rotated, neg >> 1 | (neg & 1) << n - 1)
     for t, c in commutes:
@@ -426,11 +449,20 @@ def _moves(node: tuple[int, int, int], table: _Table):
             yield "relation", (strands, r, neg & ~(7 << t) | signs << t)
 
 
-def _reach(node: tuple[int, int, int], length: int) -> int:
-    """The most a positive word reachable from a node of ``length``
-    letters can score: see ``chi_minus_lower_bound``."""
-    strands, _, neg = node
-    return strands - length + 2 * min(neg.bit_count(), length // 2)
+def _reach(strands: int, length: int, negatives: int) -> int:
+    """The most a positive word reachable from a word on ``strands``
+    strands with ``length`` letters, ``negatives`` of them negative, can
+    score: see ``chi_minus_lower_bound``."""
+    half = length // 2
+    # a conditional, not min(): this runs for every new child the search meets
+    return strands - length + 2 * (negatives if negatives < half else half)
+
+
+# the low bits of a search heap key count the pushes before it.  Each push
+# keeps its node in a list slot of 8 bytes, so fewer than 2**61 pushes fit in
+# a 64-bit address space: the count never reaches the length bits above it
+_ORDER_BITS = 64
+_ORDER_MASK = (1 << _ORDER_BITS) - 1
 
 
 @dataclass
@@ -510,49 +542,56 @@ def chi_minus_lower_bound(
     and a word is positive exactly when ``neg`` is 0.  The table computes
     the sign-free parts of the moves once per magnitude word, so a node
     computes only sign bits, and free reduction runs on those bits
-    (``_cancel``).  Words are decoded only along the witness path.
+    (``_cancel``).  Words are decoded only along the witness path.  A
+    recorded node maps to its parent node in one dict and to the name of
+    the move that reached it in another.  A heap key is the int
+    ``length << _ORDER_BITS | order``, where ``order`` counts the pushes
+    before it and ``nodes[order]`` is the node pushed: keys order nodes by
+    length, then first pushed first, as (length, order) pairs would.
     """
     start = reduce_word(b)
     table = _Table()
     mags = table.mags
     start_node = table.node(start.strands, start.letters)
     ceiling = mu or component_count(start)
-    counter = itertools.count()
     # visited set is word-level: braid-relation and commutation rewrites fix
     # the group element but change which flips and cancellations exist, so
     # collapsing nodes by normal form would cut off required simplifications
     parents: dict[tuple, tuple | None] = {start_node: None}
+    moves: dict[tuple, str] = {}
     best_score: int | None = None
     best_node = None
-    heap: list[tuple[int, int, tuple]] = []
+    nodes = [start_node]
+    heap: list[int] = []
     if start.is_positive():
         best_score = start.strands - len(start.letters)
         best_node = start_node
     else:
         sig, nul, _ = seifert or seifert_invariants(start)
         ceiling = min(ceiling, 1 + sig + nul)
-        heap.append((len(start.letters), next(counter), start_node))
+        heap.append(len(start.letters) << _ORDER_BITS)
     spent = explored = 0
     truncated = False
     while heap:
-        length, _, node = heap[0]
-        if best_score is not None and _reach(node, length) <= best_score:
-            heapq.heappop(heap)
+        key = heappop(heap)
+        node = nodes[key & _ORDER_MASK]
+        length = key >> _ORDER_BITS
+        if best_score is not None and _reach(node[0], length, node[2].bit_count()) <= best_score:
             continue
         cost = -(-length // SEARCH_UNIT_LETTERS) or 1
         if spent + cost > budget:
             truncated = True
             break
         spent += cost
-        heapq.heappop(heap)
         explored += 1
-        for move, new in _moves(node, table):
+        for move, new in _moves(node, table, best_score):
             if new in parents:
                 continue
             length = len(mags[new[1]])
-            if best_score is not None and _reach(new, length) <= best_score:
+            if best_score is not None and _reach(new[0], length, new[2].bit_count()) <= best_score:
                 continue
-            parents[new] = (node, move)
+            parents[new] = node
+            moves[new] = move
             # score on first encounter: positive words are exact realizations,
             # and one that passed the cut beats the best so far
             if not new[2]:
@@ -562,16 +601,16 @@ def chi_minus_lower_bound(
                     # an empty frontier ends the search
                     heap.clear()
                     break
-            heapq.heappush(heap, (length, next(counter), new))
+            heappush(heap, length << _ORDER_BITS | len(nodes))
+            nodes.append(new)
     if best_score is None:
         # fall back on flipping every remaining negative letter at once; a
         # positive word has nothing left to cancel
         return ChiSearchResult(bennequin_chi(start), [], True, explored)
     path: list[tuple[str, BraidWord]] = []
     node = best_node
-    while parents[node] is not None:
-        parent, move = parents[node]
-        path.append((move, BraidWord(node[0], _letters(mags[node[1]], node[2]))))
+    while (parent := parents[node]) is not None:
+        path.append((moves[node], BraidWord(node[0], _letters(mags[node[1]], node[2]))))
         node = parent
     path.reverse()
     if b.letters != start.letters:

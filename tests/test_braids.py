@@ -449,7 +449,9 @@ def reference_chi_search(b, budget, ceiling=False, cut=False):
     parity of mu, with sigma and nu from the reduction over Q, and before
     exploring a start word that is positive after free reduction.  With
     ``cut`` it drops, as the program does, every popped or new word whose
-    ``reach`` is at most the best score so far."""
+    ``reach`` is at most the best score so far.  Exploring a word of l
+    letters costs ceil(l / SEARCH_UNIT_LETTERS) units of ``budget``, at
+    least 1, as in the program, so a word of up to 16 letters costs one."""
     start = reduce_word(b)
     start_key = (start.strands, start.letters)
     stop = None
@@ -468,16 +470,18 @@ def reference_chi_search(b, budget, ceiling=False, cut=False):
         best_key = start_key
     if not (ceiling and start.is_positive()):
         heapq.heappush(heap, (len(start.letters), next(counter), start.letters, start.strands))
-    explored = 0
+    spent = explored = 0
     truncated = False
     while heap:
         _, _, word, strands = heap[0]
         if cut and best_score is not None and reach(strands, word) <= best_score:
             heapq.heappop(heap)
             continue
-        if explored >= budget:
+        cost = -(-len(word) // SEARCH_UNIT_LETTERS) or 1
+        if spent + cost > budget:
             truncated = True
             break
+        spent += cost
         heapq.heappop(heap)
         explored += 1
         key = (strands, word)
@@ -539,10 +543,10 @@ def test_chi_search_matches_reference_on_seeded_words():
     assert cleared >= 1
 
 
-def freely_reduced_word(rng):
-    """3 or 4 strands, 7 to 12 letters, freely reduced, so that the search
-    starts from the whole word."""
-    n, length, word = rng.randint(3, 4), rng.randint(7, 12), []
+def freely_reduced_word(rng, strands=(3, 4), letters=(7, 12)):
+    """3 or 4 strands, 7 to 12 letters unless given, freely reduced, so
+    that the search starts from the whole word."""
+    n, length, word = rng.randint(*strands), rng.randint(*letters), []
     while len(word) < length:
         x = rng.choice([1, -1]) * rng.randint(1, n - 1)
         if not word or word[-1] != -x:
@@ -563,6 +567,20 @@ def test_chi_search_equals_the_reference_with_the_ceiling_stop():
         truncated += got.truncated
     # 50 of the 421 searches run out of budget
     assert truncated >= 45
+
+
+def test_chi_search_equals_the_reference_on_words_of_17_to_48_letters():
+    # a node of 17 to 32 letters costs 2 units and one of 33 to 48 costs 3
+    rng = random.Random(3302)
+    words = [freely_reduced_word(rng, (2, 5), (17, 48)) for _ in range(30)]
+    assert {-(-len(b) // SEARCH_UNIT_LETTERS) for b in words} == {2, 3}
+    truncated = 0
+    for b in words:
+        got = chi_minus_lower_bound(b, 600)
+        assert got == reference_chi_search(b, 600, ceiling=True, cut=True), b
+        truncated += got.truncated
+    # 23 of the 30 searches run out of budget
+    assert 15 <= truncated < 30
 
 
 def test_chi_search_stops_at_the_component_count():
@@ -666,6 +684,33 @@ def test_moves_match_reference_neighbors():
     assert sum(shape is not None for shape in table.shapes) < 20000
 
 
+# the groups of moves that a cut leaves out whole
+CUT_GROUPS = {"flip": "flip", "rotate": "same", "commute": "same", "relation": "same"}
+
+
+def test_a_cut_leaves_out_whole_groups_that_reach_no_more_than_it():
+    # a group is left out exactly when each of its moves reaches at most the
+    # cut, by the letter-tuple reach; every other move keeps its place
+    rng = random.Random(1513)
+    table = _Table()
+    dropped = {"flip": 0, "same": 0}
+    for _ in range(3000):
+        b = random_word(rng, 6, 16)
+        node = table.node(b.strands, b.letters)
+        uncut = list(_moves(node, table))
+        reaches = [reach(ns, _letters(table.mags[i], neg)) for _, (ns, i, neg) in uncut]
+        r = reach(b.strands, b.letters)
+        for cut in range(r - 3, r + 2):
+            out = {group for group in dropped
+                   if all(m <= cut for (move, _), m in zip(uncut, reaches) if CUT_GROUPS.get(move) == group)}
+            kept = [move for move in uncut if CUT_GROUPS.get(move[0]) not in out]
+            assert list(_moves(node, table, cut)) == kept, (b, cut)
+            for group in out:
+                dropped[group] += sum(CUT_GROUPS.get(move) == group for move, _ in uncut)
+    # 27,830 flips and 14,340 rotations, commutes and relations are left out
+    assert min(dropped.values()) >= 10000
+
+
 def cascades(rng):
     """Seeded words built so that free reduction cascades: nested x y -y -x
     shells around a core, cancelling pairs at both ends, and rotations of
@@ -762,7 +807,7 @@ def test_the_default_budget_bounds_the_search_on_a_198_letter_word():
     # it costs 13 units, fewer once reductions shorten it.  The search runs
     # in a child without tracemalloc, which slowed it from 1.4-1.8 s to
     # 14-17 s on one core of an Intel Xeon; there its peak RSS rises about
-    # 102 MiB over the RSS after import
+    # 105 MiB over the RSS after import
     assert len(LONG_WORD) == 198 and reduce_word(LONG_WORD) == LONG_WORD
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
     child = subprocess.run([sys.executable, "-c", _SEARCH_LONG_WORD, json.dumps(LONG_WORD.letters)],

@@ -192,64 +192,78 @@ _CUT = "line 1, col 1: crossing X[1,2,1,3] is orientation-inconsistent: a closed
 _LOOP = "line 1, col 1: crossing X[1,2,3,2] is orientation-inconsistent: over strand enters and leaves on the same arc"
 
 
+def _numbered(n, argv, text, error):
+    """A row of the table below under the id pytest generated for it when
+    the table's rows had none: the id names the row's place then, and no
+    row added later changes it."""
+    return pytest.param(argv, text, error, id="argv%d-%s-%s" % (n, text, error))
+
+
 @pytest.mark.parametrize("argv, text, error", [
     # diagrams.from_pd and notation.parse_pd
-    (["lk", "PD[X[1,2,1,3]]"], None, _CUT),
-    (["lk", "PD[X[1,2,3,2]]"], None, _LOOP),
-    (["lk", "PD[X[1,2,3,4]]"], None, "line 1, col 1: arc 1 needs two ends, found 1"),
-    (["lk", "PD[X[1,5,2,6],X[1,6,2,5]]"], None, "line 1, col 1: arc 1 has two heads"),
-    (["homfly", "PD[X[1,3,2,4],X[4,1,2,3]]"], None, "line 1, col 1: arc 2 has two tails"),
-    (["lk", "PD[X[1,3,2,4],X[2,3,1,4]]]"], None, "line 1, col 26: trailing input ']'"),
-    (["lk", "PD[X[1,3,2,4] X[2,3,1,4]]"], None, "line 1, col 15: expected , or ], found 'X'"),
+    _numbered(0, ["lk", "PD[X[1,2,1,3]]"], None, _CUT),
+    _numbered(1, ["lk", "PD[X[1,2,3,2]]"], None, _LOOP),
+    _numbered(2, ["lk", "PD[X[1,2,3,4]]"], None, "line 1, col 1: arc 1 needs two ends, found 1"),
+    _numbered(3, ["lk", "PD[X[1,5,2,6],X[1,6,2,5]]"], None, "line 1, col 1: arc 1 has two heads"),
+    _numbered(4, ["homfly", "PD[X[1,3,2,4],X[4,1,2,3]]"], None, "line 1, col 1: arc 2 has two tails"),
+    _numbered(5, ["lk", "PD[X[1,3,2,4],X[2,3,1,4]]]"], None, "line 1, col 26: trailing input ']'"),
+    _numbered(6, ["lk", "PD[X[1,3,2,4] X[2,3,1,4]]"], None, "line 1, col 15: expected , or ], found 'X'"),
     # notation.parse_ovals
-    (["ovals", "realize", "{file}"], "1 0 1\n2 1\n", "line 2, col 1: expected 3 or 6 fields, found 2"),
-    (["ovals", "realize", "{file}"], "1 0 x\n", "line 1, col 1: id, parent, winding must be integers"),
-    (["ovals", "realize", "{file}"], "1 0 1 0 0 r\n", "line 1, col 1: geometry fields must be finite numbers"),
-    (["ovals", "embed", "{file}"], "1 0 1 0 nan 0.5\n", "line 1, col 1: geometry fields must be finite numbers"),
-    (["ovals", "realize", "{file}"], "# only a comment\n", "line 1, col 1: no ovals in input"),
+    _numbered(7, ["ovals", "realize", "{file}"], "1 0 1\n2 1\n", "line 2, col 1: expected 3 or 6 fields, found 2"),
+    _numbered(8, ["ovals", "realize", "{file}"], "1 0 x\n", "line 1, col 1: id, parent, winding must be integers"),
+    _numbered(9, ["ovals", "realize", "{file}"], "1 0 1 0 0 r\n",
+              "line 1, col 1: geometry fields must be finite numbers"),
+    _numbered(10, ["ovals", "embed", "{file}"], "1 0 1 0 nan 0.5\n",
+              "line 1, col 1: geometry fields must be finite numbers"),
+    _numbered(11, ["ovals", "realize", "{file}"], "# only a comment\n", "line 1, col 1: no ovals in input"),
     # splice.OvalForest
-    (["ovals", "realize", "{file}"], "0 0 1\n", "line 1, col 1: oval ids must be positive"),
-    (["ovals", "cable", "{file}"], "1 2 1\n2 1 1\n", "line 1, col 1: parent cycle through oval 1"),
-    (["ovals", "realize", "{file}"], "1 0 1 0 0 0\n2 1 1 0 0 0.1\n",
-     "line 1, col 1: fiber 1 cannot contain other ovals"),
-    (["ovals", "realize", "{file}"], "1 0 2 0 0 0\n", "line 1, col 1: fiber 1 needs winding +1 or -1, got 2"),
-    (["ovals", "realize", "{file}"], "1 0 1 0 0 -0.5\n", "line 1, col 1: oval 1 needs positive radius"),
-    (["ovals", "splice", "{file}"], "1 0 1 0 0 0.5\n2 1 1\n",
-     "line 2, col 1: geometry must be given for all ovals or none"),
+    _numbered(12, ["ovals", "realize", "{file}"], "0 0 1\n", "line 1, col 1: oval ids must be positive"),
+    _numbered(13, ["ovals", "cable", "{file}"], "1 2 1\n2 1 1\n", "line 1, col 1: parent cycle through oval 1"),
+    _numbered(14, ["ovals", "realize", "{file}"], "1 0 1 0 0 0\n2 1 1 0 0 0.1\n",
+              "line 1, col 1: fiber 1 cannot contain other ovals"),
+    _numbered(15, ["ovals", "realize", "{file}"], "1 0 2 0 0 0\n",
+              "line 1, col 1: fiber 1 needs winding +1 or -1, got 2"),
+    _numbered(16, ["ovals", "realize", "{file}"], "1 0 1 0 0 -0.5\n", "line 1, col 1: oval 1 needs positive radius"),
+    _numbered(17, ["ovals", "splice", "{file}"], "1 0 1 0 0 0.5\n2 1 1\n",
+              "line 2, col 1: geometry must be given for all ovals or none"),
     # embed.check_geometry
-    (["ovals", "embed", "{file}"], "1 0 1 0.5 0 0.499\n", "oval 1 touches the unit circle"),
+    _numbered(18, ["ovals", "embed", "{file}"], "1 0 1 0.5 0 0.499\n", "oval 1 touches the unit circle"),
     # cli.cmd_qp_verify names the line at fault
-    (["qp-verify", "{file}"], "braid BR[3,{1,2,-1,-1,2,1}]\n\nfoo 1\nfactors 1:2 -1:2\n",
-     "certificate line 3: unknown key 'foo'"),
-    (["qp-verify", "{file}"], "# a typo\nfactors :1\nbraid BR[3,{1,2,}]\n",
-     "certificate line 3: line 1, col 11: expected int, found '}'"),
-    (["qp-verify", "{file}"], "braid BR[3,{1,2}]\nfactors :1 :2x\n", "certificate line 2: bad certificate factor ':2x'"),
-    (["qp-verify", "{file}"], "braid BR[3,{1,2}]\nfactors :1 :5\n",
-     "certificate line 2: letter 5 needs at least 6 strands, word declares 3"),
-    (["qp-verify", "{file}"], "# no factors\nbraid BR[3,{1,2}]\n\n", "certificate ends at line 3 without a factors line"),
+    _numbered(19, ["qp-verify", "{file}"], "braid BR[3,{1,2,-1,-1,2,1}]\n\nfoo 1\nfactors 1:2 -1:2\n",
+              "certificate line 3: unknown key 'foo'"),
+    _numbered(20, ["qp-verify", "{file}"], "# a typo\nfactors :1\nbraid BR[3,{1,2,}]\n",
+              "certificate line 3: line 1, col 11: expected int, found '}'"),
+    _numbered(21, ["qp-verify", "{file}"], "braid BR[3,{1,2}]\nfactors :1 :2x\n",
+              "certificate line 2: bad certificate factor ':2x'"),
+    _numbered(22, ["qp-verify", "{file}"], "braid BR[3,{1,2}]\nfactors :1 :5\n",
+              "certificate line 2: letter 5 needs at least 6 strands, word declares 3"),
+    _numbered(23, ["qp-verify", "{file}"], "# no factors\nbraid BR[3,{1,2}]\n\n",
+              "certificate ends at line 3 without a factors line"),
     # splice.OvalForest and notation.parse_ovals, each naming the line of the oval at fault
-    (["ovals", "realize", "{file}"], "1 0 2 0 0 0.5\n2 1 1\n",
-     "line 2, col 1: geometry must be given for all ovals or none"),
-    (["ovals", "realize", "{file}"], "1 0 1\n# a comment\n2 1 1 0 0 0.5\n3 0 1\n",
-     "line 3, col 1: geometry must be given for all ovals or none"),
-    (["ovals", "realize", "{file}"], "1 0 1\n1 0 2\n", "line 2, col 1: duplicate oval ids"),
-    (["ovals", "realize", "{file}"], "1 0 1\n2 0 1\n1 0 2\n2 1 1\n", "line 3, col 1: duplicate oval ids"),
-    (["ovals", "realize", "{file}"], "1 0 1\n2 7 1\n", "line 2, col 1: oval 2 refers to missing parent 7"),
-    (["ovals", "realize", "{file}"], "1 0 1\n-2 1 1\n", "line 2, col 1: oval ids must be positive"),
-    (["ovals", "cable", "{file}"], "1 0 1\n2 3 1\n3 2 1\n", "line 2, col 1: parent cycle through oval 2"),
-    (["ovals", "realize", "{file}"], "1 0 1 0 0 0.5\n2 1 1 0 0 0\n3 2 1 0 0 0.1\n",
-     "line 2, col 1: fiber 2 cannot contain other ovals"),
-    (["ovals", "realize", "{file}"], "1 0 1 0 0 0.5\n\n2 1 3 0 0 0\n", "line 3, col 1: fiber 2 needs winding +1 or -1, got 3"),
-    (["ovals", "realize", "{file}"], "1 0 1 0 0 0.5\n2 1 1 0 0 -0.1\n", "line 2, col 1: oval 2 needs positive radius"),
+    _numbered(24, ["ovals", "realize", "{file}"], "1 0 2 0 0 0.5\n2 1 1\n",
+              "line 2, col 1: geometry must be given for all ovals or none"),
+    _numbered(25, ["ovals", "realize", "{file}"], "1 0 1\n# a comment\n2 1 1 0 0 0.5\n3 0 1\n",
+              "line 3, col 1: geometry must be given for all ovals or none"),
+    _numbered(26, ["ovals", "realize", "{file}"], "1 0 1\n1 0 2\n", "line 2, col 1: duplicate oval ids"),
+    _numbered(27, ["ovals", "realize", "{file}"], "1 0 1\n2 0 1\n1 0 2\n2 1 1\n", "line 3, col 1: duplicate oval ids"),
+    _numbered(28, ["ovals", "realize", "{file}"], "1 0 1\n2 7 1\n", "line 2, col 1: oval 2 refers to missing parent 7"),
+    _numbered(29, ["ovals", "realize", "{file}"], "1 0 1\n-2 1 1\n", "line 2, col 1: oval ids must be positive"),
+    _numbered(30, ["ovals", "cable", "{file}"], "1 0 1\n2 3 1\n3 2 1\n", "line 2, col 1: parent cycle through oval 2"),
+    _numbered(31, ["ovals", "realize", "{file}"], "1 0 1 0 0 0.5\n2 1 1 0 0 0\n3 2 1 0 0 0.1\n",
+              "line 2, col 1: fiber 2 cannot contain other ovals"),
+    _numbered(32, ["ovals", "realize", "{file}"], "1 0 1 0 0 0.5\n\n2 1 3 0 0 0\n",
+              "line 3, col 1: fiber 2 needs winding +1 or -1, got 3"),
+    _numbered(33, ["ovals", "realize", "{file}"], "1 0 1 0 0 0.5\n2 1 1 0 0 -0.1\n",
+              "line 2, col 1: oval 2 needs positive radius"),
     # notation reads no digit run past Python's int-string limit
-    (["homfly", "BR[%s,{1}]" % _HUGE], None, "line 1, col 4: " + _TOO_LONG),
-    (["lk", "BR[%s,{1}]" % _HUGE], None, "line 1, col 4: " + _TOO_LONG),
-    (["chi", "BR[2,{1,-%s}]" % _HUGE], None, "line 1, col 10: " + _TOO_LONG),
+    _numbered(34, ["homfly", "BR[%s,{1}]" % _HUGE], None, "line 1, col 4: " + _TOO_LONG),
+    _numbered(35, ["lk", "BR[%s,{1}]" % _HUGE], None, "line 1, col 4: " + _TOO_LONG),
+    _numbered(36, ["chi", "BR[2,{1,-%s}]" % _HUGE], None, "line 1, col 10: " + _TOO_LONG),
     pytest.param(["table1", "{file}"], "link A\n\nbraid BR[%s,{1}]\n" % _HUGE, "kb line 3: line 1, col 4: " + _TOO_LONG,
                  id="kb-braid-of-5000-digits"),
     # classify.parse_kb checks a certificate at its line
-    (["table1", "{file}"], "link A\nbraid BR[2,{1,1}]\ncert :1\n",
-     "kb line 3: certificate multiplies out to BR[2, {1}], not to the braid BR[2, {1, 1}]"),
+    _numbered(38, ["table1", "{file}"], "link A\nbraid BR[2,{1,1}]\ncert :1\n",
+              "kb line 3: certificate multiplies out to BR[2, {1}], not to the braid BR[2, {1, 1}]"),
     # classify.parse_kb reads a stated chi value as an integer or -
     pytest.param(["table1", "{file}"], "link A\nbraid BR[2,{1,1}]\nchi_s 1x\n",
                  "kb line 3: chi_s wants an integer or -, got '1x'", id="kb-chi_s-not-an-integer"),
@@ -260,7 +274,7 @@ _LOOP = "line 1, col 1: crossing X[1,2,3,2] is orientation-inconsistent: over st
                  "certificate line 2: braid given twice", id="qp-verify-braid-given-twice"),
     pytest.param(["qp-verify", "{file}"], "braid BR[3,{1,2,-1,-1,2,1}]\nfactors 1:2 -1:2\n# again\nfactors 1:2 -1:2\n",
                  "certificate line 4: factors given twice", id="qp-verify-factors-given-twice"),
-    # rows from here on carry ids, so that a new row leaves the generated ids above unchanged
+    # rows added from here on carry ids of their own
     pytest.param(["qp-verify", "{file}"], "", "certificate is empty", id="qp-verify-empty"),
     # classify.parse_kb wants a link stanza, as parse_ovals wants an oval
     pytest.param(["table1", "{file}"], "", "kb has no link stanza", id="kb-empty"),
@@ -457,7 +471,7 @@ def test_report_matches_golden_stdout(capsys, monkeypatch, args, golden):
 
 def test_every_golden_is_in_the_manifest_once(fixtures_dir):
     on_disk = sorted(p.relative_to(ROOT).as_posix() for p in fixtures_dir.rglob("*.out"))
-    assert len(on_disk) == 73
+    assert len(on_disk) == 74
     assert sorted(golden for _, golden in GOLDENS) == on_disk
 
 
